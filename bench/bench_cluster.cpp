@@ -19,7 +19,6 @@
 // --tiny shrinks the world and query counts to CI-smoke scale (~1 s).
 
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -65,13 +64,6 @@ cluster::ClusterConfig base_config() {
   config.staleness_budget = 2;
   config.seed = 21;
   return config;
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
 }
 
 struct SweepResult {
@@ -126,15 +118,15 @@ int main(int argc, char** argv) {
   churn.seed = 21;
   churn.offered_qps = static_cast<double>(queries) / 4.0;  // 4 s virtual
   churn.events = {
-      {cluster::ClusterEvent::Kind::kRepublish, 500, 0},
-      {cluster::ClusterEvent::Kind::kKill, 1000, 1},
-      {cluster::ClusterEvent::Kind::kJoin, 1500, 0},
-      {cluster::ClusterEvent::Kind::kRepublish, 2000, 0},
-      {cluster::ClusterEvent::Kind::kRestart, 2500, 1},
-      {cluster::ClusterEvent::Kind::kRepublish, 3000, 0},
+      {500, serve::EventAction::kRepublish, 0},
+      {1000, serve::EventAction::kKill, 1},
+      {1500, serve::EventAction::kJoin, 0},
+      {2000, serve::EventAction::kRepublish, 0},
+      {2500, serve::EventAction::kRestart, 1},
+      {3000, serve::EventAction::kRepublish, 0},
   };
   util::Table det_table(
-      {"threads", "kqps", "avail", "stale", "p99 ms", "checksum"});
+      {"threads", "kqps", "avail", "stale", "modeled p99 ms", "checksum"});
   cluster::Cluster serial_fleet(base_config());
   cluster::Cluster parallel_fleet(base_config());
   const SweepResult serial = run_sweep(serial_fleet, entries, churn, 1);
@@ -144,16 +136,16 @@ int main(int argc, char** argv) {
         {result == &serial ? "1" : std::to_string(wide),
          util::fmt_double(static_cast<double>(result->report.issued) /
                               result->wall_ms, 1),
-         util::fmt_percent(result->report.availability, 2),
-         util::fmt_percent(result->report.stale_fraction, 2),
-         util::fmt_double(result->report.p99_ms, 2),
-         hex64(result->report.checksum)});
+         util::fmt_percent(result->report.availability(), 2),
+         util::fmt_percent(result->report.share(result->report.stale), 2),
+         util::fmt_double(result->report.modeled_p99_ms, 2),
+         serve::hex64(result->report.checksum)});
   }
   det_table.print(std::cout);
   const bool checksum_match =
       serial.report.checksum == parallel.report.checksum;
   const bool stats_match =
-      serial.report.availability == parallel.report.availability &&
+      serial.report.availability() == parallel.report.availability() &&
       serial.report.stale_age_hist == parallel.report.stale_age_hist &&
       serial.report.unavailable == parallel.report.unavailable;
   bench::note(std::string("checksums ") +
@@ -186,10 +178,10 @@ int main(int argc, char** argv) {
   // ranges are served by followers that visibly lag — STALE{age}, never
   // past the budget.
   kill_load.events = {
-      {cluster::ClusterEvent::Kind::kKill, kKillMs, 1},
-      {cluster::ClusterEvent::Kind::kRepublish, 4000, 0},
-      {cluster::ClusterEvent::Kind::kRepublish, 5000, 0},
-      {cluster::ClusterEvent::Kind::kRepublish, 6000, 0},
+      {kKillMs, serve::EventAction::kKill, 1},
+      {4000, serve::EventAction::kRepublish, 0},
+      {5000, serve::EventAction::kRepublish, 0},
+      {6000, serve::EventAction::kRepublish, 0},
   };
   cluster::ClusterConfig kill_config = base_config();
   kill_config.metrics = &registry;
@@ -208,12 +200,14 @@ int main(int argc, char** argv) {
   const std::uint64_t fire_delay_ms =
       slo_fired && first_fire_ms > kKillMs ? first_fire_ms - kKillMs : 0;
   bench::note("availability " +
-              util::fmt_percent(kill_run.report.availability, 3) +
+              util::fmt_percent(kill_run.report.availability(), 3) +
               ", stale " +
-              util::fmt_percent(kill_run.report.stale_fraction, 2) +
+              util::fmt_percent(kill_run.report.share(kill_run.report.stale),
+                                2) +
               " (max age " + std::to_string(kill_run.report.stale_age_max) +
               ", budget 2), failover attempts " +
               std::to_string(kill_run.report.failover_attempts));
+  serve::print_tally(std::cout, kill_run.report);
   bench::note(std::string("breaker SLO ") +
               (slo_fired ? "fired " + std::to_string(fire_delay_ms) +
                                " ms after the kill"
@@ -230,7 +224,7 @@ int main(int argc, char** argv) {
   join_load.queries = queries;
   join_load.seed = 21;
   join_load.offered_qps = static_cast<double>(queries) / 4.0;
-  join_load.events = {{cluster::ClusterEvent::Kind::kJoin, 2000, 0}};
+  join_load.events = {{2000, serve::EventAction::kJoin, 0}};
   cluster::Cluster join_cluster(base_config());
   const SweepResult join_run = run_sweep(join_cluster, entries, join_load, wide);
   const cluster::OwnershipAudit audit = join_cluster.audit();
@@ -244,34 +238,37 @@ int main(int argc, char** argv) {
               std::to_string(audit.lost) + " lost, " +
               std::to_string(audit.double_owned) + " double-owned)");
   bench::note("availability through the join " +
-              util::fmt_percent(join_run.report.availability, 3));
+              util::fmt_percent(join_run.report.availability(), 3));
 
   // ---- machine-readable report --------------------------------------------
   std::ofstream out("BENCH_cluster.json");
   out << "{\n";
   out << "  \"determinism\": {\"threads_wide\": " << wide
-      << ", \"checksum_serial\": \"" << hex64(serial.report.checksum)
-      << "\", \"checksum_parallel\": \"" << hex64(parallel.report.checksum)
+      << ", \"checksum_serial\": \"" << serve::hex64(serial.report.checksum)
+      << "\", \"checksum_parallel\": \"" << serve::hex64(parallel.report.checksum)
       << "\", \"checksum_match\": " << (checksum_match ? "true" : "false")
       << ", \"stats_match\": " << (stats_match ? "true" : "false")
-      << ", \"availability\": " << serial.report.availability
-      << ", \"stale_fraction\": " << serial.report.stale_fraction << "},\n";
-  out << "  \"kill\": {\"availability\": " << kill_run.report.availability
-      << ", \"stale_fraction\": " << kill_run.report.stale_fraction
+      << ", \"availability\": " << serial.report.availability()
+      << ", \"stale_fraction\": " << serial.report.share(serial.report.stale)
+      << "},\n";
+  out << "  \"kill\": {\"availability\": " << kill_run.report.availability()
+      << ", \"stale_fraction\": "
+      << kill_run.report.share(kill_run.report.stale)
       << ", \"stale_age_max\": " << kill_run.report.stale_age_max
       << ", \"staleness_budget\": 2"
       << ", \"failover_attempts\": " << kill_run.report.failover_attempts
       << ", \"unavailable\": " << kill_run.report.unavailable
       << ", \"slo_fired\": " << (slo_fired ? "true" : "false")
       << ", \"slo_fire_delay_ms\": " << fire_delay_ms
-      << ", \"p50_ms\": " << kill_run.report.p50_ms
-      << ", \"p99_ms\": " << kill_run.report.p99_ms << "},\n";
+      << ", \"modeled_p50_ms\": " << kill_run.report.modeled_p50_ms
+      << ", \"modeled_p99_ms\": " << kill_run.report.modeled_p99_ms
+      << "},\n";
   out << "  \"join\": {\"remap_fraction\": " << remap_fraction
       << ", \"remap_bound\": "
       << 2.0 / static_cast<double>(join_cluster.node_count())
       << ", \"audit_ok\": " << (audit.ok ? "true" : "false")
       << ", \"keys\": " << audit.keys
-      << ", \"availability\": " << join_run.report.availability << "},\n";
+      << ", \"availability\": " << join_run.report.availability() << "},\n";
   out << "  \"throughput\": [\n";
   out << "    {\"threads\": 1, \"kqps\": "
       << static_cast<double>(serial.report.issued) / serial.wall_ms << "},\n";

@@ -21,8 +21,6 @@
 //
 // --tiny shrinks the grid and virtual duration to CI-smoke scale (~1 s).
 
-#include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -82,14 +80,8 @@ control::SweepConfig cell_config(bool tiny, control::Policy policy,
     config.controller.initial_shards = 4;
     config.controller.max_shards = 8;
   }
+  config.events = control::standard_chaos_events(config.duration_s);
   return config;
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
 }
 
 std::string mult_key(double multiplier) {
@@ -130,7 +122,14 @@ int main(int argc, char** argv) {
     control::SweepReport report;
   };
   std::vector<Cell> cells;
-  util::Table table({"policy", "mult", "shed", "denied", "stale", "p99 ms",
+  const auto shed = [](const control::SweepReport& r) {
+    return r.share(r.shed);
+  };
+  const auto denied = [](const control::SweepReport& r) {
+    return r.share(r.shed + r.brownout + r.unavailable);
+  };
+  util::Table table({"policy", "mult", "shed", "denied", "stale",
+                     "modeled p99 ms",
                      "slo good", "level", "shards", "ladder ms", "shed ms"});
   for (const control::Policy policy : policies) {
     for (const double multiplier : multipliers) {
@@ -138,10 +137,10 @@ int main(int argc, char** argv) {
           entries, cell_config(tiny, policy, multiplier, kSeed), &pool);
       table.add_row(
           {std::string(control::to_string(policy)), mult_key(multiplier),
-           util::fmt_percent(report.shed_fraction, 2),
-           util::fmt_percent(report.denied_fraction, 2),
-           util::fmt_percent(report.stale_fraction, 2),
-           util::fmt_double(report.p99_ms, 2),
+           util::fmt_percent(shed(report), 2),
+           util::fmt_percent(denied(report), 2),
+           util::fmt_percent(report.share(report.stale), 2),
+           util::fmt_double(report.modeled_p99_ms, 2),
            util::fmt_percent(report.slo_good_fraction, 2),
            std::to_string(report.max_level),
            std::to_string(report.peak_shards),
@@ -170,20 +169,16 @@ int main(int argc, char** argv) {
       cell(control::Policy::kReactive, 4.0);
   const control::SweepReport& predictive_4x =
       cell(control::Policy::kPredictive, 4.0);
-  const bool improved_2x =
-      reactive_2x.shed_fraction < static_2x.shed_fraction;
-  const bool improved_4x =
-      reactive_4x.shed_fraction < static_4x.shed_fraction;
+  const bool improved_2x = shed(reactive_2x) < shed(static_2x);
+  const bool improved_4x = shed(reactive_4x) < shed(static_4x);
   const bool ladder_first = reactive_4x.ladder_engaged_before_shed;
   bench::note("2x: static sheds " +
-              util::fmt_percent(static_2x.shed_fraction, 2) +
-              ", reactive sheds " +
-              util::fmt_percent(reactive_2x.shed_fraction, 2) +
+              util::fmt_percent(shed(static_2x), 2) + ", reactive sheds " +
+              util::fmt_percent(shed(reactive_2x), 2) +
               (improved_2x ? " (improved)" : " (NOT IMPROVED)"));
   bench::note("4x: static sheds " +
-              util::fmt_percent(static_4x.shed_fraction, 2) +
-              ", reactive sheds " +
-              util::fmt_percent(reactive_4x.shed_fraction, 2) +
+              util::fmt_percent(shed(static_4x), 2) + ", reactive sheds " +
+              util::fmt_percent(shed(reactive_4x), 2) +
               (improved_4x ? " (improved)" : " (NOT IMPROVED)"));
   bench::note(std::string("reactive 4x ladder engaged ") +
               (ladder_first ? "before" : "AFTER") + " the first shed (" +
@@ -195,18 +190,10 @@ int main(int argc, char** argv) {
                 std::to_string(wide) + ")");
   const control::SweepConfig det_config =
       cell_config(tiny, control::Policy::kReactive, 4.0, kSeed);
-  const auto det_start = std::chrono::steady_clock::now();
   const control::SweepReport serial =
       control::run_control_sweep(entries, det_config, nullptr);
-  const double serial_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - det_start)
-                               .count();
-  const auto wide_start = std::chrono::steady_clock::now();
   const control::SweepReport threaded =
       control::run_control_sweep(entries, det_config, &pool);
-  const double wide_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - wide_start)
-                             .count();
   const bool log_match = serial.decision_log == threaded.decision_log &&
                          serial.decision_digest == threaded.decision_digest;
   const bool checksum_match = serial.checksum == threaded.checksum;
@@ -215,8 +202,8 @@ int main(int argc, char** argv) {
               (log_match ? "byte-identical" : "MISMATCH") +
               ", response checksum " +
               (checksum_match ? "match" : "MISMATCH"));
-  bench::note("digest " + hex64(serial.decision_digest) + ", checksum " +
-              hex64(serial.checksum));
+  bench::note("decision digest " + serve::hex64(serial.decision_digest));
+  serve::print_tally(std::cout, serial);
 
   // ---- machine-readable report --------------------------------------------
   std::ofstream out("BENCH_control.json");
@@ -229,12 +216,13 @@ int main(int argc, char** argv) {
         << "\", \"multiplier\": " << c.multiplier
         << ", \"offered_qps\": " << r.offered_qps
         << ", \"issued\": " << r.issued
-        << ", \"shed_fraction\": " << r.shed_fraction
-        << ", \"denied_fraction\": " << r.denied_fraction
-        << ", \"stale_fraction\": " << r.stale_fraction
+        << ", \"shed_fraction\": " << shed(r)
+        << ", \"denied_fraction\": " << denied(r)
+        << ", \"stale_fraction\": " << r.share(r.stale)
         << ", \"brownout\": " << r.brownout
         << ", \"unavailable\": " << r.unavailable
-        << ", \"p50_ms\": " << r.p50_ms << ", \"p99_ms\": " << r.p99_ms
+        << ", \"modeled_p50_ms\": " << r.modeled_p50_ms
+        << ", \"modeled_p99_ms\": " << r.modeled_p99_ms
         << ", \"slo_good_fraction\": " << r.slo_good_fraction
         << ", \"slo_fired\": " << (r.slo_fired ? "true" : "false")
         << ", \"max_level\": " << r.max_level
@@ -245,18 +233,18 @@ int main(int argc, char** argv) {
         << ", \"ladder_engaged_before_shed\": "
         << (r.ladder_engaged_before_shed ? "true" : "false")
         << ", \"ticks\": " << r.ticks << ", \"checksum\": \""
-        << hex64(r.checksum) << "\", \"decision_digest\": \""
-        << hex64(r.decision_digest) << "\"}"
+        << serve::hex64(r.checksum) << "\", \"decision_digest\": \""
+        << serve::hex64(r.decision_digest) << "\"}"
         << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"comparison\": {"
-      << "\"static_shed_2x\": " << static_2x.shed_fraction
-      << ", \"reactive_shed_2x\": " << reactive_2x.shed_fraction
+      << "\"static_shed_2x\": " << shed(static_2x)
+      << ", \"reactive_shed_2x\": " << shed(reactive_2x)
       << ", \"improved_2x\": " << (improved_2x ? "true" : "false")
-      << ", \"static_shed_4x\": " << static_4x.shed_fraction
-      << ", \"reactive_shed_4x\": " << reactive_4x.shed_fraction
-      << ", \"predictive_shed_4x\": " << predictive_4x.shed_fraction
+      << ", \"static_shed_4x\": " << shed(static_4x)
+      << ", \"reactive_shed_4x\": " << shed(reactive_4x)
+      << ", \"predictive_shed_4x\": " << shed(predictive_4x)
       << ", \"improved_4x\": " << (improved_4x ? "true" : "false")
       << ", \"static_slo_good_4x\": " << static_4x.slo_good_fraction
       << ", \"reactive_slo_good_4x\": " << reactive_4x.slo_good_fraction
@@ -269,10 +257,11 @@ int main(int argc, char** argv) {
   out << "  \"determinism\": {\"threads_wide\": " << wide
       << ", \"log_match\": " << (log_match ? "true" : "false")
       << ", \"checksum_match\": " << (checksum_match ? "true" : "false")
-      << ", \"decision_digest\": \"" << hex64(serial.decision_digest)
-      << "\", \"checksum\": \"" << hex64(serial.checksum)
+      << ", \"decision_digest\": \"" << serve::hex64(serial.decision_digest)
+      << "\", \"checksum\": \"" << serve::hex64(serial.checksum)
       << "\", \"ticks\": " << serial.ticks
-      << ", \"serial_ms\": " << serial_ms << ", \"wide_ms\": " << wide_ms
+      << ", \"serial_ms\": " << serial.wall_ms
+      << ", \"wide_ms\": " << threaded.wall_ms
       << "}\n";
   out << "}\n";
   bench::note("wrote BENCH_control.json");

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -20,7 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeline.hpp"
-#include "serve/loadgen.hpp"
+#include "serve/replay.hpp"
 #include "serve/service.hpp"
 #include "synth/sessions.hpp"
 #include "tero/pipeline.hpp"
@@ -66,7 +65,6 @@ ClosedLoopRow run_closed(const std::vector<serve::SnapshotEntry>& entries,
 
   serve::LoadGenConfig load;
   load.queries = queries;
-  load.threads = threads;
   load.seed = 99;
 
   util::ThreadPool pool(threads);
@@ -118,12 +116,10 @@ int main(int argc, char** argv) {
     for (const std::size_t threads : thread_counts) {
       ClosedLoopRow row = run_closed(entries, shards, threads, queries,
                                      /*with_metrics=*/false);
-      char checksum[32];
-      std::snprintf(checksum, sizeof(checksum), "%016llx",
-                    static_cast<unsigned long long>(row.report.checksum));
       table.add_row({std::to_string(shards), std::to_string(threads),
                      util::fmt_double(row.report.achieved_qps / 1e3, 1),
-                     util::fmt_percent(row.hit_rate, 1), checksum});
+                     util::fmt_percent(row.hit_rate, 1),
+                     serve::hex64(row.report.checksum)});
       rows.push_back(std::move(row));
     }
   }
@@ -159,16 +155,13 @@ int main(int argc, char** argv) {
   service.publish(std::vector<serve::SnapshotEntry>(entries));
   serve::LoadGenConfig load;
   load.queries = queries / 2;
-  load.threads = hw;
   load.seed = 99;
   load.offered_qps = offered_qps;
   util::ThreadPool pool(hw);
   const auto overload =
       serve::run_loadtest(service, load, hw > 1 ? &pool : nullptr);
-  const double shed_fraction =
-      overload.issued > 0 ? static_cast<double>(overload.shed) /
-                                static_cast<double>(overload.issued)
-                          : 0.0;
+  const double shed_fraction = overload.share(overload.shed);
+  serve::print_tally(std::cout, overload);
   bench::note("offered " + util::fmt_double(offered_qps / 1e3, 0) +
               " kqps, admitted cap " +
               util::fmt_double(config.admission_rate_qps / 1e3, 0) +
@@ -209,7 +202,6 @@ int main(int argc, char** argv) {
     obs_service.publish(std::vector<serve::SnapshotEntry>(entries));
     serve::LoadGenConfig obs_load;
     obs_load.queries = obs_queries;
-    obs_load.threads = hw;
     obs_load.seed = 99;
     obs_load.metrics = &obs_registry;  // both arms pay for the counters...
     obs_load.exemplar_seed = 99;

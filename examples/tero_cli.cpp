@@ -1,74 +1,7 @@
-// tero_cli: the driver a data-set consumer uses against the published CSV
-// artifacts (see examples/export_dataset.cpp). Subcommands:
-//
-//   tero_cli simulate [out_dir] [streamers] [days] [threads]
-//            [--metrics-out m.json] [--trace-out t.json] [--metrics-table]
-//       build a synthetic world, run the pipeline (threads workers;
-//       0 = all cores, same output either way), and write
-//       measurements.csv + aggregates.csv. --metrics-out dumps the
-//       metrics registry as JSON, --trace-out writes a Chrome
-//       trace-event file (load in Perfetto / chrome://tracing), and
-//       --metrics-table prints the registry to stdout.
-//
-//   tero_cli analyze <measurements.csv>
-//       re-run the QoE-based cleaning over an imported data set and print
-//       per-{streamer, game} summaries (points kept, spikes, glitches)
-//
-//   tero_cli report <measurements.csv> <game>
-//       print the latency distribution per streamer pseudonym for a game
-//       (what a researcher without the pipeline would compute first)
-//
-//   tero_cli query <snapshot> point <game> <country> [region] [city]
-//   tero_cli query <snapshot> topk <game> [k]
-//       serve point / top-k-worst queries from a snapshot written by
-//       `simulate --snapshot-out` — no pipeline re-run needed
-//
-//   tero_cli loadtest <snapshot> [queries] [threads] [shards]
-//            [--seed n] [--zipf s] [--open qps] [--admit rate burst]
-//       drive the sharded query service with the deterministic Zipf load
-//       generator; the reported result checksum is bit-identical for any
-//       thread count at a fixed seed (--open adds virtual-time arrivals,
-//       --admit enables token-bucket admission control / load shedding)
-//
-//   tero_cli stream [streamers] [days] [threads] [--window s] [--lateness s]
-//            [--publish-every n] [--checkpoint-dir d] [--checkpoint-every n]
-//            [--crash-after id] [--max-delay s] [--rate r] [--burst b]
-//            [--capacity n] [--snapshot-out f] [--metrics-out f]
-//            [--trace-out f] [--metrics-table]
-//       run the same scenario through the streaming ingestion pipeline
-//       (DESIGN.md §10): tumbling event-time windows fold into live serve
-//       epochs, checkpoints land in --checkpoint-dir, and --crash-after
-//       simulates a crash right after checkpoint N — rerunning with the
-//       same --checkpoint-dir resumes and produces bit-identical output.
-//       With --publish-every 0 the --snapshot-out file is byte-identical
-//       to `simulate --snapshot-out` for the same scenario.
-//
-//   tero_cli obs <report|export> [streamers] [days] [queries] [threads]
-//       one-command observability demo (DESIGN.md §13): build a world,
-//       publish its snapshot, and drive the deterministic load generator
-//       with a virtual-time metrics timeline, SLO burn-rate tracking, and
-//       exemplar-armed histograms. `report` prints the timeline series,
-//       the SLO burn table, and the p99-bucket exemplar -> span links;
-//       `export` writes Prometheus text (--prom), the timeline history
-//       JSON (--json, bit-identical across thread counts at a fixed
-//       seed), and the SLO alert log (--slo).
-//
-//   tero_cli cluster <loadtest|kill|join|status> [streamers] [days] [queries]
-//       deterministic multi-node serving cluster demo (DESIGN.md §14):
-//       publish a world's snapshot across a consistent-hash fleet,
-//       sweep the Zipf load generator, and script membership churn.
-//       kill/join double as invariant gates (availability, breaker SLO,
-//       ownership audit, remap bound) and exit nonzero on violation.
-//
-//   tero_cli control <sweep|status> [--policy p] [--mult n]
-//       closed-loop overload resilience demo (DESIGN.md §16): run one
-//       deterministic virtual-time overload cell under the standard
-//       chaos plan with the SLO-driven feedback controller actuating
-//       admission, shard count, channel capacity, and the brownout
-//       ladder. `sweep` runs the cell and can write the per-tick
-//       decision log (byte-identical across --threads at a fixed
-//       --seed); `status` prints the resolved cell plan without
-//       running it.
+// tero_cli: the command-line driver for the Tero pipeline, its serving
+// layer, and the deterministic stream, chaos, obs, cluster, tsdb and
+// control scenarios. Every subcommand and flag is documented once, in
+// kUsage below (`tero_cli --help` prints it).
 //
 // The shared flags --metrics-out / --trace-out / --metrics-table /
 // --seed / --threads are parsed by one helper (CommonFlags below):
@@ -76,9 +9,9 @@
 // control all accept them with the same spelling and semantics.
 
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <map>
@@ -100,7 +33,8 @@
 #include "obs/slo.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
-#include "serve/loadgen.hpp"
+#include "serve/brownout.hpp"
+#include "serve/replay.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot_io.hpp"
 #include "stats/descriptive.hpp"
@@ -161,8 +95,10 @@ constexpr const char* kUsage =
     "           [--metrics-out m.json] [--trace-out t.json]\n"
     "           [--metrics-table]\n"
     "      deterministic Zipf load against the sharded query service;\n"
-    "      the obs flags dump the loadgen-owned tero.loadgen.* telemetry\n"
-    "      (deterministic synthetic latency, exemplars keyed by query id)\n"
+    "      the tally and result checksum are bit-identical for any\n"
+    "      thread count. The obs flags dump the loadgen-owned\n"
+    "      tero.loadgen.* telemetry (modeled latency, exemplars keyed by\n"
+    "      query id)\n"
     "\n"
     "  stream   [streamers] [days] [threads]\n"
     "           [--window seconds] [--lateness seconds] [--publish-every n]\n"
@@ -262,7 +198,7 @@ constexpr const char* kUsage =
     "      for reactive/predictive at --mult >= 2 the run exits\n"
     "      nonzero unless the ladder engaged before the first shed.\n"
     "      `status` prints the resolved cell plan (policy, capacity\n"
-    "      model, chaos windows, SLO) without running it\n"
+    "      model, chaos timeline, SLO) without running it\n"
     "\n"
     "  tero_cli --help prints this text; unknown flags exit nonzero.\n";
 
@@ -284,26 +220,15 @@ struct ObsFlags {
   bool metrics_table = false;  ///< registry table on stdout
 };
 
-/// Try to consume argv[i] (plus its value, if any) as a shared obs flag.
-/// Returns the number of argv slots consumed (0 = not an obs flag), or -1
-/// when the flag is present but its file argument is missing (the error is
-/// already printed).
-int eat_obs_flag(int argc, char** argv, int i, ObsFlags& flags) {
-  const std::string arg = argv[i];
-  if (arg == "--metrics-out" || arg == "--trace-out") {
-    if (i + 1 >= argc) {
-      std::cerr << arg << " needs a file argument\n";
-      return -1;
-    }
-    (arg == "--metrics-out" ? flags.metrics_out : flags.trace_out) =
-        argv[i + 1];
-    return 2;
+/// Consume the value of flag argv[i] into `value`, advancing `i` past it.
+/// False (error printed) when the value is missing.
+bool take_value(int argc, char** argv, int& i, std::string& value) {
+  if (i + 1 >= argc) {
+    std::cerr << argv[i] << " needs a value\n";
+    return false;
   }
-  if (arg == "--metrics-table") {
-    flags.metrics_table = true;
-    return 1;
-  }
-  return 0;
+  value = argv[++i];
+  return true;
 }
 
 /// The full shared-flag set: the obs trio plus --seed and --threads, which
@@ -319,29 +244,55 @@ struct CommonFlags {
   bool threads_set = false;
 };
 
-/// Try to consume argv[i] (plus its value) as a shared flag. Same contract
-/// as eat_obs_flag: returns slots consumed (0 = not a shared flag), or -1
-/// when a value is missing (error already printed).
-int eat_common_flag(int argc, char** argv, int i, CommonFlags& flags) {
-  if (const int eaten = eat_obs_flag(argc, argv, i, flags.obs); eaten != 0) {
-    return eaten;
-  }
+/// Try to consume argv[i] (plus its value) as a shared flag, advancing `i`
+/// past its value. Returns 1 when consumed, 0 when argv[i] is not a shared
+/// flag, and -1 when a value is missing (error already printed).
+int eat_common_flag(int argc, char** argv, int& i, CommonFlags& flags) {
   const std::string arg = argv[i];
-  if (arg == "--seed" || arg == "--threads") {
-    if (i + 1 >= argc) {
-      std::cerr << arg << " needs a value\n";
+  std::string value;
+  if (arg == "--metrics-table") {
+    flags.obs.metrics_table = true;
+  } else if (arg == "--metrics-out" || arg == "--trace-out") {
+    if (!take_value(argc, argv, i, arg == "--metrics-out"
+                                       ? flags.obs.metrics_out
+                                       : flags.obs.trace_out)) {
       return -1;
     }
-    if (arg == "--seed") {
-      flags.seed = static_cast<std::uint64_t>(std::atoll(argv[i + 1]));
-      flags.seed_set = true;
-    } else {
-      flags.threads = static_cast<std::size_t>(std::atoi(argv[i + 1]));
-      flags.threads_set = true;
-    }
-    return 2;
+  } else if (arg == "--seed") {
+    if (!take_value(argc, argv, i, value)) return -1;
+    flags.seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
+    flags.seed_set = true;
+  } else if (arg == "--threads") {
+    if (!take_value(argc, argv, i, value)) return -1;
+    flags.threads = static_cast<std::size_t>(std::atoi(value.c_str()));
+    flags.threads_set = true;
+  } else {
+    return 0;
   }
-  return 0;
+  return 1;
+}
+
+/// positional[index] as an integer, or `fallback` when absent.
+long long positional_or(const std::vector<std::string>& positional,
+                        std::size_t index, long long fallback) {
+  return index < positional.size() ? std::atoll(positional[index].c_str())
+                                   : fallback;
+}
+
+/// Write one output file with `write` and report "wrote <what> to <path>";
+/// a no-op when `path` is empty. False (error printed) when the file cannot
+/// be opened.
+bool write_output(const std::string& path, const std::string& what,
+                  const std::function<void(std::ostream&)>& write) {
+  if (path.empty()) return true;
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    std::cerr << "cannot open " << path << "\n";
+    return false;
+  }
+  write(out);
+  std::cout << "wrote " << what << " to " << path << "\n";
+  return true;
 }
 
 /// Emit the outputs the shared flags requested. Returns nonzero on I/O
@@ -349,26 +300,91 @@ int eat_common_flag(int argc, char** argv, int i, CommonFlags& flags) {
 int write_obs_outputs(const ObsFlags& flags,
                       const obs::MetricsRegistry& registry,
                       const obs::TraceRecorder& recorder) {
-  if (!flags.metrics_out.empty()) {
-    std::ofstream out(flags.metrics_out);
-    if (!out) {
-      std::cerr << "cannot open " << flags.metrics_out << "\n";
-      return 1;
-    }
-    registry.write_json(out);
-    std::cout << "wrote " << registry.size() << " metrics to "
-              << flags.metrics_out << "\n";
+  if (!write_output(flags.metrics_out,
+                    std::to_string(registry.size()) + " metrics",
+                    [&](std::ostream& out) { registry.write_json(out); })) {
+    return 1;
   }
   if (flags.metrics_table) registry.write_table(std::cout);
-  if (!flags.trace_out.empty()) {
-    std::ofstream out(flags.trace_out);
-    if (!out) {
-      std::cerr << "cannot open " << flags.trace_out << "\n";
-      return 1;
-    }
-    recorder.write_json(out);
-    std::cout << "wrote " << recorder.span_count() << " trace events to "
-              << flags.trace_out << "\n";
+  return write_output(flags.trace_out,
+                      std::to_string(recorder.span_count()) + " trace events",
+                      [&](std::ostream& out) { recorder.write_json(out); })
+             ? 0
+             : 1;
+}
+
+bool write_timeline(const std::string& path,
+                    const obs::MetricsTimeline& timeline) {
+  return write_output(
+      path, std::to_string(timeline.snapshot_count()) + " timeline snapshots",
+      [&](std::ostream& out) { timeline.write_json(out); });
+}
+
+bool write_slo_log(const std::string& path, const obs::SloTracker& tracker) {
+  return write_output(path,
+                      std::to_string(tracker.size()) + " slo(s), " +
+                          std::to_string(tracker.alerts().size()) +
+                          " alert event(s)",
+                      [&](std::ostream& out) { tracker.write_json(out); });
+}
+
+bool write_snapshot(const std::string& path, const serve::Snapshot& snapshot) {
+  return write_output(path,
+                      "snapshot epoch " + std::to_string(snapshot.epoch()) +
+                          " (" + std::to_string(snapshot.size()) + " entries)",
+                      [&](std::ostream& out) {
+                        serve::save_snapshot(snapshot, out);
+                      });
+}
+
+/// The synthetic scenario the subcommands run: a world and its
+/// ground-truth streams, built from a world seed, a session seed, the
+/// population size, the number of days and the Twitter-link probability.
+struct Scenario {
+  Scenario(std::uint64_t seed, std::size_t streamers, int days,
+           std::uint64_t session_seed, double p_twitter = 0.8)
+      : world(world_config(seed, streamers, p_twitter)),
+        streams(synth::SessionGenerator(world, behavior(days), session_seed)
+                    .generate()) {}
+
+  [[nodiscard]] core::Dataset run(const core::TeroConfig& config) const {
+    return core::Pipeline(config).run(world, streams);
+  }
+  /// The batch pipeline's serving entries, with `threads` workers; empty
+  /// (error printed) when the pipeline produced none.
+  [[nodiscard]] std::vector<serve::SnapshotEntry> entries(
+      std::size_t threads) const {
+    core::TeroConfig config;
+    config.threads = threads;
+    auto entries = serve::entries_from(run(config));
+    if (entries.empty()) std::cerr << "pipeline produced no snapshot entries\n";
+    return entries;
+  }
+
+  const synth::World world;
+  const std::vector<synth::TrueStream> streams;
+
+ private:
+  static synth::WorldConfig world_config(std::uint64_t seed,
+                                         std::size_t streamers,
+                                         double p_twitter) {
+    synth::WorldConfig config;
+    config.seed = seed;
+    config.num_streamers = streamers;
+    config.p_twitter = p_twitter;
+    return config;
+  }
+  static synth::BehaviorConfig behavior(int days) {
+    synth::BehaviorConfig config;
+    config.days = days;
+    return config;
+  }
+};
+
+/// Virtual time of the first firing alert in `tracker`'s log (0 = none).
+std::uint64_t first_firing_ms(const obs::SloTracker& tracker) {
+  for (const auto& alert : tracker.alerts()) {
+    if (alert.firing) return alert.t_ms;
   }
   return 0;
 }
@@ -382,18 +398,11 @@ int cmd_simulate(int argc, char** argv) {
   std::vector<std::string> positional;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (const int eaten = eat_common_flag(argc, argv, i, flags);
-        eaten != 0) {
-      if (eaten < 0) return 1;
-      i += eaten - 1;
-      continue;
-    }
+    const int shared = eat_common_flag(argc, argv, i, flags);
+    if (shared < 0) return 1;
+    if (shared > 0) continue;
     if (arg == "--snapshot-out") {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a file argument\n";
-        return 1;
-      }
-      snapshot_out = argv[++i];
+      if (!take_value(argc, argv, i, snapshot_out)) return 1;
     } else if (arg == "--full-ocr") {
       full_ocr = true;
     } else if (arg == "--digest") {
@@ -405,28 +414,15 @@ int cmd_simulate(int argc, char** argv) {
     }
   }
   const std::string out_dir = !positional.empty() ? positional[0] : "/tmp";
-  const std::size_t streamers =
-      positional.size() > 1
-          ? static_cast<std::size_t>(std::atoi(positional[1].c_str()))
-          : 300;
-  const int days = positional.size() > 2 ? std::atoi(positional[2].c_str())
-                                         : 7;
+  const auto streamers =
+      static_cast<std::size_t>(positional_or(positional, 1, 300));
+  const auto days = static_cast<int>(positional_or(positional, 2, 7));
   const std::size_t threads =
       flags.threads_set
           ? flags.threads
-          : (positional.size() > 3
-                 ? static_cast<std::size_t>(std::atoi(positional[3].c_str()))
-                 : 0);
+          : static_cast<std::size_t>(positional_or(positional, 3, 0));
 
-  synth::WorldConfig world_config;
-  world_config.seed = flags.seed_set ? flags.seed : 1;
-  world_config.num_streamers = streamers;
-  world_config.p_twitter = 0.8;
-  const synth::World world(world_config);
-  synth::BehaviorConfig behavior;
-  behavior.days = days;
-  synth::SessionGenerator generator(world, behavior, 2);
-  const auto streams = generator.generate();
+  const Scenario scenario(flags.seed_set ? flags.seed : 1, streamers, days, 2);
 
   core::TeroConfig config;
   config.threads = threads;  // 0 = all cores; the output is thread-invariant
@@ -451,8 +447,7 @@ int cmd_simulate(int argc, char** argv) {
     config.on_dataset = serve::publish_hook(service);
   }
 
-  core::Pipeline pipeline(config);
-  const core::Dataset dataset = pipeline.run(world, streams);
+  const core::Dataset dataset = scenario.run(config);
 
   std::ofstream measurements(out_dir + "/tero_measurements.csv");
   std::ofstream aggregates(out_dir + "/tero_aggregates.csv");
@@ -478,14 +473,7 @@ int cmd_simulate(int argc, char** argv) {
       std::cerr << "pipeline published no snapshot\n";
       return 1;
     }
-    std::ofstream out(snapshot_out, std::ios::binary);
-    if (!out) {
-      std::cerr << "cannot open " << snapshot_out << "\n";
-      return 1;
-    }
-    serve::save_snapshot(*snapshot, out);
-    std::cout << "wrote snapshot epoch " << snapshot->epoch() << " ("
-              << snapshot->size() << " entries) to " << snapshot_out << "\n";
+    if (!write_snapshot(snapshot_out, *snapshot)) return 1;
   }
 
   return write_obs_outputs(flags.obs, registry, recorder);
@@ -604,19 +592,13 @@ int cmd_query(int argc, char** argv) {
   std::vector<std::string> positional;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (const int eaten = eat_common_flag(argc, argv, i, flags);
-        eaten != 0) {
-      if (eaten < 0) return 1;
-      i += eaten - 1;
-      continue;
-    }
+    const int shared = eat_common_flag(argc, argv, i, flags);
+    if (shared < 0) return 1;
+    if (shared > 0) continue;
     if (arg == "--tsdb-dir" || arg == "--from" || arg == "--to" ||
         arg == "--window" || arg == "--agg") {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        return 1;
-      }
-      const std::string value = argv[++i];
+      std::string value;
+      if (!take_value(argc, argv, i, value)) return 1;
       if (arg == "--tsdb-dir") {
         tsdb_dir = value;
       } else if (arg == "--from") {
@@ -687,9 +669,7 @@ int cmd_query(int argc, char** argv) {
   query.game = positional[2];
   if (mode == "topk") {
     query.kind = serve::QueryKind::kTopK;
-    query.k = positional.size() > 3
-                  ? static_cast<std::size_t>(std::atoi(positional[3].c_str()))
-                  : 5;
+    query.k = static_cast<std::size_t>(positional_or(positional, 3, 5));
     const auto response = service.query(query);
     if (response.status != serve::QueryStatus::kOk) {
       std::cerr << "no locations with data for game: " << query.game << "\n";
@@ -785,7 +765,10 @@ int cmd_query(int argc, char** argv) {
     q.param = pct;
     batch.push_back(q);
   }
-  const auto responses = service.query_batch(batch);
+  std::vector<serve::QueryResponse> responses;
+  for (const serve::Query& each : batch) {
+    responses.push_back(service.query(each));
+  }
   if (responses[0].status != serve::QueryStatus::kOk) {
     std::cerr << "no aggregate for {" << query.location.to_string() << ", "
               << query.game << "}\n";
@@ -811,18 +794,13 @@ int cmd_loadtest(int argc, char** argv) {
   std::vector<std::string> positional;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (const int eaten = eat_common_flag(argc, argv, i, flags);
-        eaten != 0) {
-      if (eaten < 0) return 1;
-      i += eaten - 1;
-      continue;
-    }
+    const int shared = eat_common_flag(argc, argv, i, flags);
+    if (shared < 0) return 1;
+    if (shared > 0) continue;
     if (arg == "--zipf" || arg == "--open") {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        return 1;
-      }
-      const double value = std::atof(argv[++i]);
+      std::string text;
+      if (!take_value(argc, argv, i, text)) return 1;
+      const double value = std::atof(text.c_str());
       if (arg == "--zipf") {
         load.zipf_s = value;
       } else {
@@ -849,20 +827,15 @@ int cmd_loadtest(int argc, char** argv) {
   }
   const serve::SnapshotPtr snapshot = load_snapshot_file(positional[0]);
   if (snapshot == nullptr) return 1;
-  if (positional.size() > 1) {
-    load.queries = static_cast<std::size_t>(std::atoi(positional[1].c_str()));
-  }
+  load.queries = static_cast<std::size_t>(
+      positional_or(positional, 1, static_cast<long long>(load.queries)));
   if (flags.seed_set) load.seed = flags.seed;
-  load.threads =
-      flags.threads_set
-          ? flags.threads
-          : (positional.size() > 2
-                 ? static_cast<std::size_t>(std::atoi(positional[2].c_str()))
-                 : 0);
-  if (positional.size() > 3) {
-    serve_config.shards =
-        static_cast<std::size_t>(std::atoi(positional[3].c_str()));
-  }
+  const std::size_t threads = util::ThreadPool::resolve(
+      flags.threads_set ? flags.threads
+                        : static_cast<std::size_t>(
+                              positional_or(positional, 2, 0)));
+  serve_config.shards = static_cast<std::size_t>(positional_or(
+      positional, 3, static_cast<long long>(serve_config.shards)));
 
   obs::MetricsRegistry registry;
   obs::TraceRecorder recorder;
@@ -885,23 +858,15 @@ int cmd_loadtest(int argc, char** argv) {
     load.exemplar_seed = load.seed;
   }
 
-  const std::size_t threads = util::ThreadPool::resolve(load.threads);
   util::ThreadPool pool(threads);
   const auto report =
       serve::run_loadtest(service, load, threads > 1 ? &pool : nullptr);
 
-  std::cout << "loadtest: " << report.issued << " queries, " << threads
-            << " threads, " << service.shard_count() << " shards, epoch "
-            << snapshot->epoch() << "\n";
-  std::cout << "  ok " << report.ok << ", not_found " << report.not_found
-            << ", shed " << report.shed << " ("
-            << util::fmt_percent(
-                   report.issued > 0
-                       ? static_cast<double>(report.shed) /
-                             static_cast<double>(report.issued)
-                       : 0.0,
-                   1)
-            << ")\n";
+  std::cout << "loadtest: " << threads << " threads, "
+            << service.shard_count() << " shards, epoch " << snapshot->epoch()
+            << ", seed " << load.seed
+            << " (counts and checksum identical for any thread count)\n";
+  serve::print_tally(std::cout, report);
   std::cout << "  wall " << util::fmt_double(report.wall_ms, 1) << " ms, "
             << util::fmt_double(report.achieved_qps / 1e3, 1) << " kqps, "
             << "cache hits " << service.cache_hits() << " / misses "
@@ -910,12 +875,6 @@ int cmd_loadtest(int argc, char** argv) {
             << util::fmt_double(report.p50_ms * 1e3, 1) << " / "
             << util::fmt_double(report.p95_ms * 1e3, 1) << " / "
             << util::fmt_double(report.p99_ms * 1e3, 1) << " us\n";
-  char checksum[32];
-  std::snprintf(checksum, sizeof(checksum), "%016llx",
-                static_cast<unsigned long long>(report.checksum));
-  std::cout << "  result checksum " << checksum
-            << " (seed " << load.seed
-            << "; identical for any thread count)\n";
   return write_obs_outputs(flags.obs, registry, recorder);
 }
 
@@ -928,12 +887,9 @@ int cmd_stream(int argc, char** argv) {
   std::vector<std::string> positional;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (const int eaten = eat_common_flag(argc, argv, i, flags);
-        eaten != 0) {
-      if (eaten < 0) return 1;
-      i += eaten - 1;
-      continue;
-    }
+    const int shared = eat_common_flag(argc, argv, i, flags);
+    if (shared < 0) return 1;
+    if (shared > 0) continue;
     const bool takes_value =
         arg == "--window" || arg == "--lateness" || arg == "--publish-every" ||
         arg == "--checkpoint-dir" || arg == "--checkpoint-every" ||
@@ -941,11 +897,8 @@ int cmd_stream(int argc, char** argv) {
         arg == "--burst" || arg == "--capacity" || arg == "--snapshot-out" ||
         arg == "--timeline-out" || arg == "--tsdb-dir";
     if (takes_value) {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        return 1;
-      }
-      const std::string value = argv[++i];
+      std::string value;
+      if (!take_value(argc, argv, i, value)) return 1;
       if (arg == "--window") {
         config.window_size_s = std::atof(value.c_str());
       } else if (arg == "--lateness") {
@@ -993,28 +946,15 @@ int cmd_stream(int argc, char** argv) {
   }
 
   // The exact scenario `simulate` runs, so the two paths are comparable.
-  const std::size_t streamers =
-      !positional.empty()
-          ? static_cast<std::size_t>(std::atoi(positional[0].c_str()))
-          : 300;
-  const int days = positional.size() > 1 ? std::atoi(positional[1].c_str())
-                                         : 7;
+  const auto streamers =
+      static_cast<std::size_t>(positional_or(positional, 0, 300));
+  const auto days = static_cast<int>(positional_or(positional, 1, 7));
   config.tero.threads =
       flags.threads_set
           ? flags.threads
-          : (positional.size() > 2
-                 ? static_cast<std::size_t>(std::atoi(positional[2].c_str()))
-                 : 0);
+          : static_cast<std::size_t>(positional_or(positional, 2, 0));
 
-  synth::WorldConfig world_config;
-  world_config.seed = flags.seed_set ? flags.seed : 1;
-  world_config.num_streamers = streamers;
-  world_config.p_twitter = 0.8;
-  const synth::World world(world_config);
-  synth::BehaviorConfig behavior;
-  behavior.days = days;
-  synth::SessionGenerator generator(world, behavior, 2);
-  const auto streams = generator.generate();
+  const Scenario scenario(flags.seed_set ? flags.seed : 1, streamers, days, 2);
 
   const bool want_metrics = !flags.obs.metrics_out.empty() ||
                             flags.obs.metrics_table || !timeline_out.empty();
@@ -1065,7 +1005,8 @@ int cmd_stream(int argc, char** argv) {
   }
 
   stream::StreamPipeline pipeline(std::move(config));
-  const stream::StreamResult result = pipeline.run(world, streams);
+  const stream::StreamResult result =
+      pipeline.run(scenario.world, scenario.streams);
 
   if (result.resumed_from > 0) {
     std::cout << "resumed from checkpoint " << result.resumed_from << "\n";
@@ -1083,24 +1024,12 @@ int cmd_stream(int argc, char** argv) {
             << "), download throttled " << result.download_throttled << "\n";
   // The timeline is flushed by the pipeline even on a crashed run, so the
   // partial history is written either way.
-  const auto write_timeline = [&]() -> int {
-    if (timeline_out.empty()) return 0;
-    std::ofstream out(timeline_out);
-    if (!out) {
-      std::cerr << "cannot open " << timeline_out << "\n";
-      return 1;
-    }
-    timeline.write_json(out);
-    std::cout << "wrote " << timeline.snapshot_count()
-              << " timeline snapshots to " << timeline_out << "\n";
-    return 0;
-  };
   if (result.crashed) {
     std::cout << "crashed after checkpoint "
               << pipeline.config().crash_after
               << " (fault injection); rerun with the same --checkpoint-dir "
                  "to resume\n";
-    return write_timeline();
+    return write_timeline(timeline_out, timeline) ? 0 : 1;
   }
   std::cout << "final epoch " << result.final_epoch << ": "
             << result.final_entries.size() << " {location, game} entries, "
@@ -1114,18 +1043,12 @@ int cmd_stream(int argc, char** argv) {
               << " B compressed\n";
   }
 
-  if (!snapshot_out.empty()) {
-    std::ofstream out(snapshot_out, std::ios::binary);
-    if (!out) {
-      std::cerr << "cannot open " << snapshot_out << "\n";
-      return 1;
-    }
-    const serve::Snapshot snapshot(result.final_epoch, result.final_entries);
-    serve::save_snapshot(snapshot, out);
-    std::cout << "wrote snapshot epoch " << snapshot.epoch() << " ("
-              << snapshot.size() << " entries) to " << snapshot_out << "\n";
+  if (!snapshot_out.empty() &&
+      !write_snapshot(snapshot_out, serve::Snapshot(result.final_epoch,
+                                                    result.final_entries))) {
+    return 1;
   }
-  if (const int rc = write_timeline(); rc != 0) return rc;
+  if (!write_timeline(timeline_out, timeline)) return 1;
   return write_obs_outputs(flags.obs, registry, recorder);
 }
 
@@ -1135,18 +1058,11 @@ int cmd_chaos(int argc, char** argv) {
   std::vector<std::string> positional;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (const int eaten = eat_common_flag(argc, argv, i, flags);
-        eaten != 0) {
-      if (eaten < 0) return 1;
-      i += eaten - 1;
-      continue;
-    }
+    const int shared = eat_common_flag(argc, argv, i, flags);
+    if (shared < 0) return 1;
+    if (shared > 0) continue;
     if (arg == "--plan") {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        return 1;
-      }
-      plan_spec = argv[++i];
+      if (!take_value(argc, argv, i, plan_spec)) return 1;
     } else if (arg.rfind("--", 0) == 0) {
       return unknown_flag("chaos", arg);
     } else {
@@ -1156,16 +1072,11 @@ int cmd_chaos(int argc, char** argv) {
   const std::size_t threads = flags.threads;
   // --seed shifts the whole sweep: seeds run [base, base + count).
   const std::uint64_t seed_base = flags.seed_set ? flags.seed : 1;
-  const std::uint64_t seeds =
-      !positional.empty()
-          ? static_cast<std::uint64_t>(std::atoll(positional[0].c_str()))
-          : 10;
-  const std::size_t streamers =
-      positional.size() > 1
-          ? static_cast<std::size_t>(std::atoi(positional[1].c_str()))
-          : 60;
-  const int days =
-      positional.size() > 2 ? std::atoi(positional[2].c_str()) : 2;
+  const auto seeds =
+      static_cast<std::uint64_t>(positional_or(positional, 0, 10));
+  const auto streamers =
+      static_cast<std::size_t>(positional_or(positional, 1, 60));
+  const auto days = static_cast<int>(positional_or(positional, 2, 2));
 
   std::size_t failures = 0;
   const auto check = [&failures](bool ok, const std::string& what) {
@@ -1192,25 +1103,15 @@ int cmd_chaos(int argc, char** argv) {
     return 1;
   }
   for (std::uint64_t seed = seed_base; seed < seed_base + seeds; ++seed) {
-    synth::WorldConfig world_config;
-    world_config.seed = seed;
-    world_config.num_streamers = streamers;
-    world_config.p_twitter = 0.8;
-    const synth::World world(world_config);
-    synth::BehaviorConfig behavior;
-    behavior.days = days;
-    synth::SessionGenerator generator(world, behavior, seed + 1);
-    const auto streams = generator.generate();
-
+    const Scenario scenario(seed, streamers, days, seed + 1);
     core::TeroConfig config;
     config.threads = threads;
-    const core::Dataset baseline =
-        core::Pipeline(config).run(world, streams);
+    const core::Dataset baseline = scenario.run(config);
     const std::uint64_t baseline_digest = core::dataset_digest(baseline);
 
     fault::FaultInjector transient(fault::FaultPlan::parse(plan_spec, seed));
     config.injector = &transient;
-    const core::Dataset faulted = core::Pipeline(config).run(world, streams);
+    const core::Dataset faulted = scenario.run(config);
     check(core::dataset_digest(faulted) == baseline_digest,
           "seed " + std::to_string(seed) +
               ": transient plan changed the dataset (digest mismatch)");
@@ -1221,7 +1122,7 @@ int cmd_chaos(int argc, char** argv) {
     fault::FaultInjector permanent(
         fault::FaultPlan::parse("extract.stream=crash@0.5", seed));
     config.injector = &permanent;
-    const core::Dataset degraded = core::Pipeline(config).run(world, streams);
+    const core::Dataset degraded = scenario.run(config);
     check(degraded.funnel.quarantined > 0,
           "seed " + std::to_string(seed) +
               ": permanent plan quarantined nobody");
@@ -1305,18 +1206,10 @@ int cmd_chaos(int argc, char** argv) {
   // succeed, answers go back to fresh. With no previous epoch the shard is
   // explicitly kUnavailable — never a silent wrong answer, never a hang.
   {
-    synth::WorldConfig world_config;
-    world_config.seed = 1;
-    world_config.num_streamers = streamers;
-    world_config.p_twitter = 0.8;
-    const synth::World world(world_config);
-    synth::BehaviorConfig behavior;
-    behavior.days = days;
-    synth::SessionGenerator generator(world, behavior, 2);
-    const auto streams = generator.generate();
     core::TeroConfig config;
     config.threads = threads;
-    const core::Dataset dataset = core::Pipeline(config).run(world, streams);
+    const core::Dataset dataset =
+        Scenario(1, streamers, days, 2).run(config);
 
     // SLO gate (DESIGN.md §13): the breaker's state gauge
     // tero.fault.breaker{endpoint=shard-0} is scraped on the same virtual
@@ -1407,13 +1300,7 @@ int cmd_chaos(int argc, char** argv) {
       // and must have fired within one evaluation window of that.
       check(tracker.fired(breaker_slo),
             "serve: breaker flap fired no SLO burn-rate alert");
-      std::uint64_t first_fire_ms = 0;
-      for (const auto& alert : tracker.alerts()) {
-        if (alert.firing) {
-          first_fire_ms = alert.t_ms;
-          break;
-        }
-      }
+      const std::uint64_t first_fire_ms = first_firing_ms(tracker);
       check(first_fire_ms > 0 && first_fire_ms <= 400 + kSloWindowMs,
             "serve: SLO alert fired later than one window after the flap");
       std::cout << "  serve: " << stale_seen
@@ -1453,22 +1340,6 @@ int cmd_chaos(int argc, char** argv) {
   return 0;
 }
 
-/// The self-contained scenario behind `obs report` / `obs export`: build a
-/// world, run the batch pipeline with its publish hook, then drive the
-/// deterministic load generator with the full telemetry stack armed —
-/// registry, virtual-time timeline (tero.loadgen.* only, the deterministic
-/// series), SLO tracker riding the scrape hook, and exemplar-armed
-/// histograms keyed by query id.
-struct ObsScenario {
-  std::size_t streamers = 60;
-  int days = 2;
-  std::size_t queries = 20000;
-  std::size_t threads = 0;
-  std::uint64_t seed = 42;
-  double open_qps = 0.0;
-  std::vector<std::string> specs;  ///< SLO spec strings (--spec)
-};
-
 /// Window the report's rates/quantiles and the default SLOs use.
 constexpr std::uint64_t kObsWindowMs = 10'000;
 
@@ -1481,63 +1352,6 @@ std::vector<std::string> default_obs_specs() {
   };
 }
 
-int run_obs_scenario(const ObsScenario& opt, obs::MetricsRegistry& registry,
-                     obs::MetricsTimeline& timeline, obs::SloTracker& tracker,
-                     obs::TraceRecorder& recorder,
-                     serve::LoadTestReport& report) {
-  const std::vector<std::string> specs =
-      opt.specs.empty() ? default_obs_specs() : opt.specs;
-  for (const std::string& spec : specs) {
-    try {
-      tracker.add(spec);
-    } catch (const std::exception& error) {
-      std::cerr << "bad SLO spec \"" << spec << "\": " << error.what()
-                << "\n";
-      return 1;
-    }
-  }
-  tracker.attach(timeline);
-
-  synth::WorldConfig world_config;
-  world_config.seed = 1;
-  world_config.num_streamers = opt.streamers;
-  world_config.p_twitter = 0.8;
-  const synth::World world(world_config);
-  synth::BehaviorConfig behavior;
-  behavior.days = opt.days;
-  synth::SessionGenerator generator(world, behavior, 2);
-  const auto streams = generator.generate();
-
-  core::TeroConfig config;
-  config.threads = opt.threads;
-  config.metrics = &registry;
-  config.trace = &recorder;
-  serve::ServeConfig serve_config;
-  serve_config.metrics = &registry;
-  serve_config.trace = &recorder;
-  serve_config.exemplar_seed = opt.seed;  // arms tero.serve.query_ms
-  serve::QueryService service(serve_config);
-  config.on_dataset = serve::publish_hook(service);
-  (void)core::Pipeline(config).run(world, streams);
-  if (service.snapshot() == nullptr) {
-    std::cerr << "pipeline published no snapshot\n";
-    return 1;
-  }
-
-  serve::LoadGenConfig load;
-  load.queries = opt.queries;
-  load.threads = opt.threads;
-  load.seed = opt.seed;
-  load.offered_qps = opt.open_qps;
-  load.metrics = &registry;
-  load.timeline = &timeline;
-  load.exemplar_seed = opt.seed + 0x5eed;
-  const std::size_t threads = util::ThreadPool::resolve(opt.threads);
-  util::ThreadPool pool(threads);
-  report = serve::run_loadtest(service, load, threads > 1 ? &pool : nullptr);
-  return 0;
-}
-
 int cmd_obs(int argc, char** argv) {
   const std::string mode = argc > 2 ? argv[2] : "";
   if (mode != "report" && mode != "export") {
@@ -1547,31 +1361,26 @@ int cmd_obs(int argc, char** argv) {
                  "[--json f.json] [--slo f.json]\n";
     return mode.empty() ? 1 : 2;
   }
-  ObsScenario opt;
   CommonFlags flags;
+  double open_qps = 0.0;
+  std::vector<std::string> specs;  // SLO spec strings (--spec)
   std::string prom_out;
   std::string json_out;
   std::string slo_out;
   std::vector<std::string> positional;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (const int eaten = eat_common_flag(argc, argv, i, flags);
-        eaten != 0) {
-      if (eaten < 0) return 1;
-      i += eaten - 1;
-      continue;
-    }
+    const int shared = eat_common_flag(argc, argv, i, flags);
+    if (shared < 0) return 1;
+    if (shared > 0) continue;
     if (arg == "--open" || arg == "--spec" || arg == "--prom" ||
         arg == "--json" || arg == "--slo") {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        return 1;
-      }
-      const std::string value = argv[++i];
+      std::string value;
+      if (!take_value(argc, argv, i, value)) return 1;
       if (arg == "--open") {
-        opt.open_qps = std::atof(value.c_str());
+        open_qps = std::atof(value.c_str());
       } else if (arg == "--spec") {
-        opt.specs.push_back(value);
+        specs.push_back(value);
       } else if (arg == "--prom") {
         prom_out = value;
       } else if (arg == "--json") {
@@ -1585,37 +1394,67 @@ int cmd_obs(int argc, char** argv) {
       positional.push_back(arg);
     }
   }
-  if (flags.seed_set) opt.seed = flags.seed;
-  if (!positional.empty()) {
-    opt.streamers =
-        static_cast<std::size_t>(std::atoi(positional[0].c_str()));
-  }
-  if (positional.size() > 1) opt.days = std::atoi(positional[1].c_str());
-  if (positional.size() > 2) {
-    opt.queries = static_cast<std::size_t>(std::atoi(positional[2].c_str()));
-  }
-  if (positional.size() > 3) {
-    opt.threads = static_cast<std::size_t>(std::atoi(positional[3].c_str()));
-  }
-  if (flags.threads_set) opt.threads = flags.threads;
+  const std::uint64_t seed = flags.seed_set ? flags.seed : 42;
+  const auto threads =
+      flags.threads_set
+          ? flags.threads
+          : static_cast<std::size_t>(positional_or(positional, 3, 0));
   if (mode == "export" && prom_out.empty() && json_out.empty() &&
       slo_out.empty()) {
     std::cerr << "obs export needs at least one of --prom/--json/--slo\n";
     return 1;
   }
 
+  // The scenario: build a world, run the batch pipeline with its publish
+  // hook, then drive the deterministic load generator with the full
+  // telemetry stack armed — registry, virtual-time timeline
+  // (tero.loadgen.* only, the deterministic series), SLO tracker riding the
+  // scrape hook, and exemplar-armed histograms keyed by query id.
   obs::MetricsRegistry registry;
   obs::TimelineConfig timeline_config;
   timeline_config.prefixes = {"tero.loadgen."};
   obs::MetricsTimeline timeline(registry, timeline_config);
   obs::SloTracker tracker;
   obs::TraceRecorder recorder;
-  serve::LoadTestReport report;
-  if (const int rc = run_obs_scenario(opt, registry, timeline, tracker,
-                                      recorder, report);
-      rc != 0) {
-    return rc;
+  for (const std::string& spec : specs.empty() ? default_obs_specs() : specs) {
+    try {
+      tracker.add(spec);
+    } catch (const std::exception& error) {
+      std::cerr << "bad SLO spec \"" << spec << "\": " << error.what()
+                << "\n";
+      return 1;
+    }
   }
+  tracker.attach(timeline);
+
+  core::TeroConfig config;
+  config.threads = threads;
+  config.metrics = &registry;
+  config.trace = &recorder;
+  serve::ServeConfig serve_config;
+  serve_config.metrics = &registry;
+  serve_config.trace = &recorder;
+  serve_config.exemplar_seed = seed;  // arms tero.serve.query_ms
+  serve::QueryService service(serve_config);
+  config.on_dataset = serve::publish_hook(service);
+  (void)Scenario(1, static_cast<std::size_t>(positional_or(positional, 0, 60)),
+                 static_cast<int>(positional_or(positional, 1, 2)), 2)
+      .run(config);
+  if (service.snapshot() == nullptr) {
+    std::cerr << "pipeline published no snapshot\n";
+    return 1;
+  }
+
+  serve::LoadGenConfig load;
+  load.queries = static_cast<std::size_t>(positional_or(positional, 2, 20000));
+  load.seed = seed;
+  load.offered_qps = open_qps;
+  load.metrics = &registry;
+  load.timeline = &timeline;
+  load.exemplar_seed = seed + 0x5eed;
+  util::ThreadPool pool(util::ThreadPool::resolve(threads));
+  const serve::LoadTestReport report =
+      serve::run_loadtest(service, load, pool.size() > 1 ? &pool : nullptr);
 
   // Re-emit every elected exemplar into the trace as an instant, so the
   // metric -> span link is visible from the trace side too.
@@ -1631,13 +1470,10 @@ int cmd_obs(int argc, char** argv) {
   }
 
   if (mode == "report") {
-    char checksum[32];
-    std::snprintf(checksum, sizeof(checksum), "%016llx",
-                  static_cast<unsigned long long>(report.checksum));
-    std::cout << "obs report: " << report.issued << " queries (seed "
-              << opt.seed << ", checksum " << checksum << "), "
+    std::cout << "obs report: seed " << seed << ", "
               << timeline.snapshot_count() << " timeline snapshots @ "
               << timeline.scrape_interval_ms() << " ms\n";
+    serve::print_tally(std::cout, report);
 
     // Timeline-derived view of the deterministic loadgen series.
     util::Table series({"series", "total", "increase (10s)", "rate/s (10s)"});
@@ -1696,36 +1532,12 @@ int cmd_obs(int argc, char** argv) {
     }
   }
 
-  if (!prom_out.empty()) {
-    std::ofstream out(prom_out);
-    if (!out) {
-      std::cerr << "cannot open " << prom_out << "\n";
-      return 1;
-    }
-    obs::write_prom(registry, out);
-    std::cout << "wrote prometheus exposition (" << registry.size()
-              << " series) to " << prom_out << "\n";
-  }
-  if (!json_out.empty()) {
-    std::ofstream out(json_out);
-    if (!out) {
-      std::cerr << "cannot open " << json_out << "\n";
-      return 1;
-    }
-    timeline.write_json(out);
-    std::cout << "wrote " << timeline.snapshot_count()
-              << " timeline snapshots to " << json_out << "\n";
-  }
-  if (!slo_out.empty()) {
-    std::ofstream out(slo_out);
-    if (!out) {
-      std::cerr << "cannot open " << slo_out << "\n";
-      return 1;
-    }
-    tracker.write_json(out);
-    std::cout << "wrote " << tracker.size() << " slo(s), "
-              << tracker.alerts().size() << " alert event(s) to " << slo_out
-              << "\n";
+  if (!write_output(prom_out,
+                    "prometheus exposition (" +
+                        std::to_string(registry.size()) + " series)",
+                    [&](std::ostream& out) { obs::write_prom(registry, out); }) ||
+      !write_timeline(json_out, timeline) || !write_slo_log(slo_out, tracker)) {
+    return 1;
   }
   return write_obs_outputs(flags.obs, registry, recorder);
 }
@@ -1762,26 +1574,20 @@ int cmd_cluster(int argc, char** argv) {
   cluster::ClusterConfig fleet_config;
   fleet_config.nodes = 5;
   cluster::ClusterLoadConfig load;
-  load.queries = 20000;
   CommonFlags flags;
   std::string timeline_out;
   std::string slo_out;
   std::vector<std::string> positional;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (const int eaten = eat_common_flag(argc, argv, i, flags);
-        eaten != 0) {
-      if (eaten < 0) return 1;
-      i += eaten - 1;
-      continue;
-    }
+    const int shared = eat_common_flag(argc, argv, i, flags);
+    if (shared < 0) return 1;
+    if (shared > 0) continue;
     if (arg == "--nodes" || arg == "--replicas" || arg == "--budget" ||
         arg == "--qps") {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        return 1;
-      }
-      const double value = std::atof(argv[++i]);
+      std::string text;
+      if (!take_value(argc, argv, i, text)) return 1;
+      const double value = std::atof(text.c_str());
       if (arg == "--nodes") {
         fleet_config.nodes = std::max<std::size_t>(
             1, static_cast<std::size_t>(value));
@@ -1794,11 +1600,8 @@ int cmd_cluster(int argc, char** argv) {
         load.offered_qps = value;
       }
     } else if (arg == "--policy") {
-      if (i + 1 >= argc) {
-        std::cerr << "--policy needs leader|follower\n";
-        return 1;
-      }
-      const std::string policy = argv[++i];
+      std::string policy;
+      if (!take_value(argc, argv, i, policy)) return 1;
       if (policy == "leader") {
         load.policy = cluster::ReadPolicy::kLeaderOnly;
       } else if (policy == "follower") {
@@ -1809,11 +1612,10 @@ int cmd_cluster(int argc, char** argv) {
         return 1;
       }
     } else if (arg == "--timeline-out" || arg == "--slo-out") {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a file argument\n";
+      if (!take_value(argc, argv, i,
+                      arg == "--timeline-out" ? timeline_out : slo_out)) {
         return 1;
       }
-      (arg == "--timeline-out" ? timeline_out : slo_out) = argv[++i];
     } else if (arg.rfind("--", 0) == 0) {
       return unknown_flag("cluster", arg);
     } else {
@@ -1825,15 +1627,10 @@ int cmd_cluster(int argc, char** argv) {
     fleet_config.seed = flags.seed;
     load.seed = flags.seed;
   }
-  std::size_t streamers = 60;
-  int days = 2;
-  if (!positional.empty()) {
-    streamers = static_cast<std::size_t>(std::atoi(positional[0].c_str()));
-  }
-  if (positional.size() > 1) days = std::atoi(positional[1].c_str());
-  if (positional.size() > 2) {
-    load.queries = static_cast<std::size_t>(std::atoi(positional[2].c_str()));
-  }
+  const auto streamers =
+      static_cast<std::size_t>(positional_or(positional, 0, 60));
+  const auto days = static_cast<int>(positional_or(positional, 1, 2));
+  load.queries = static_cast<std::size_t>(positional_or(positional, 2, 20000));
   if ((mode == "kill" || mode == "join") && fleet_config.nodes < 2) {
     std::cerr << "cluster " << mode << " needs --nodes >= 2\n";
     return 1;
@@ -1841,24 +1638,9 @@ int cmd_cluster(int argc, char** argv) {
 
   // Same world scenario as `obs`: the cluster serves the batch pipeline's
   // snapshot entries.
-  synth::WorldConfig world_config;
-  world_config.seed = 1;
-  world_config.num_streamers = streamers;
-  world_config.p_twitter = 0.8;
-  const synth::World world(world_config);
-  synth::BehaviorConfig behavior;
-  behavior.days = days;
-  synth::SessionGenerator generator(world, behavior, 2);
-  const auto streams = generator.generate();
-  core::TeroConfig pipeline_config;
-  pipeline_config.threads = threads;
-  core::Pipeline pipeline(pipeline_config);
-  const core::Dataset dataset = pipeline.run(world, streams);
-  std::vector<serve::SnapshotEntry> entries = serve::entries_from(dataset);
-  if (entries.empty()) {
-    std::cerr << "pipeline produced no snapshot entries\n";
-    return 1;
-  }
+  std::vector<serve::SnapshotEntry> entries =
+      Scenario(1, streamers, days, 2).entries(threads);
+  if (entries.empty()) return 1;
 
   obs::MetricsRegistry registry;
   obs::TraceRecorder recorder;
@@ -1922,16 +1704,16 @@ int cmd_cluster(int argc, char** argv) {
   std::uint64_t kill_ms = 0;
   if (mode == "loadtest") {
     load.events = {
-        {cluster::ClusterEvent::Kind::kRepublish, at(0.25), 0},
-        {cluster::ClusterEvent::Kind::kRepublish, at(0.50), 0},
-        {cluster::ClusterEvent::Kind::kRepublish, at(0.75), 0},
+        {at(0.25), serve::EventAction::kRepublish, 0},
+        {at(0.50), serve::EventAction::kRepublish, 0},
+        {at(0.75), serve::EventAction::kRepublish, 0},
     };
   } else if (mode == "kill") {
     kill_ms = std::max<std::uint64_t>(600, at(0.40));
     load.events = {
-        {cluster::ClusterEvent::Kind::kKill, kill_ms, victim},
-        {cluster::ClusterEvent::Kind::kRepublish, at(0.60), 0},
-        {cluster::ClusterEvent::Kind::kRepublish, at(0.80), 0},
+        {kill_ms, serve::EventAction::kKill, victim},
+        {at(0.60), serve::EventAction::kRepublish, 0},
+        {at(0.80), serve::EventAction::kRepublish, 0},
     };
     tracker.add("slo breaker: value(tero.fault.breaker{endpoint=" +
                 fleet.node_names()[victim] +
@@ -1939,9 +1721,9 @@ int cmd_cluster(int argc, char** argv) {
     tracker.attach(timeline);
   } else {  // join
     load.events = {
-        {cluster::ClusterEvent::Kind::kRepublish, at(0.25), 0},
-        {cluster::ClusterEvent::Kind::kJoin, at(0.50), 0},
-        {cluster::ClusterEvent::Kind::kRepublish, at(0.75), 0},
+        {at(0.25), serve::EventAction::kRepublish, 0},
+        {at(0.50), serve::EventAction::kJoin, 0},
+        {at(0.75), serve::EventAction::kRepublish, 0},
     };
   }
 
@@ -1950,31 +1732,26 @@ int cmd_cluster(int argc, char** argv) {
   const cluster::ClusterLoadReport report = cluster::run_cluster_loadtest(
       fleet, load, resolved > 1 ? &pool : nullptr);
 
-  std::cout << "cluster " << mode << ": " << report.issued << " queries, "
-            << resolved << " threads, " << fleet.node_count() << " nodes x "
-            << fleet_config.replicas << " replicas, budget "
-            << fleet_config.staleness_budget << " epochs, "
-            << report.events_applied << " events\n";
-  std::cout << "  ok " << report.ok << ", not_found " << report.not_found
-            << ", stale " << report.stale << " ("
-            << util::fmt_percent(report.stale_fraction, 2)
-            << "), unavailable " << report.unavailable << " -> availability "
-            << util::fmt_percent(report.availability, 3) << "\n";
-  std::cout << "  stale ages [";
+  std::cout << "cluster " << mode << ": " << resolved << " threads, "
+            << fleet.node_count() << " nodes x " << fleet_config.replicas
+            << " replicas, budget " << fleet_config.staleness_budget
+            << " epochs, " << report.events_applied << " events, seed "
+            << load.seed
+            << " (counts and checksum identical for any thread count)\n";
+  serve::print_tally(std::cout, report);
+  std::cout << "  availability "
+            << util::fmt_percent(report.availability(), 3) << ", stale "
+            << util::fmt_percent(report.share(report.stale), 2)
+            << ", stale ages [";
   for (std::size_t age = 0; age < report.stale_age_hist.size(); ++age) {
     std::cout << (age > 0 ? ", " : "") << report.stale_age_hist[age];
   }
   std::cout << "] (max " << report.stale_age_max << ", budget "
             << fleet_config.staleness_budget << "), failover attempts "
             << report.failover_attempts << "\n";
-  std::cout << "  virtual latency p50/p99: "
-            << util::fmt_double(report.p50_ms, 2) << " / "
-            << util::fmt_double(report.p99_ms, 2) << " ms\n";
-  char checksum[32];
-  std::snprintf(checksum, sizeof(checksum), "%016llx",
-                static_cast<unsigned long long>(report.checksum));
-  std::cout << "  result checksum " << checksum << " (seed " << load.seed
-            << "; identical for any thread count)\n";
+  std::cout << "  modeled latency p50/p99: "
+            << util::fmt_double(report.modeled_p50_ms, 2) << " / "
+            << util::fmt_double(report.modeled_p99_ms, 2) << " ms\n";
 
   int violations = 0;
   const auto invariant = [&](const std::string& name, bool held) {
@@ -1985,13 +1762,7 @@ int cmd_cluster(int argc, char** argv) {
   invariant("stale_age <= budget",
             report.stale_age_max <= fleet_config.staleness_budget);
   if (mode == "kill") {
-    std::uint64_t first_fire_ms = 0;
-    for (const auto& alert : tracker.alerts()) {
-      if (alert.firing) {
-        first_fire_ms = alert.t_ms;
-        break;
-      }
-    }
+    const std::uint64_t first_fire_ms = first_firing_ms(tracker);
     std::cout << "  breaker[" << fleet.node_names()[victim] << "] "
               << fault::to_string(fleet.breaker_state(victim))
               << "; SLO breaker "
@@ -2000,7 +1771,7 @@ int cmd_cluster(int argc, char** argv) {
                             " ms after the kill"
                       : "did not fire")
               << " (scrape " << timeline_config.scrape_every_ms << " ms)\n";
-    invariant("availability >= 0.99", report.availability >= 0.99);
+    invariant("availability >= 0.99", report.availability() >= 0.99);
     invariant("breaker opened", fleet.breaker_state(victim) ==
                                     fault::CircuitBreaker::State::kOpen);
     invariant("breaker SLO fired within 2 scrapes",
@@ -2021,29 +1792,12 @@ int cmd_cluster(int argc, char** argv) {
     invariant("ownership audit ok", audit.ok);
     invariant("remap fraction < 2/n",
               fleet.last_remap().moved_fraction() < bound);
-    invariant("availability >= 0.99", report.availability >= 0.99);
+    invariant("availability >= 0.99", report.availability() >= 0.99);
   }
 
-  if (!timeline_out.empty()) {
-    std::ofstream out(timeline_out);
-    if (!out) {
-      std::cerr << "cannot open " << timeline_out << "\n";
-      return 1;
-    }
-    timeline.write_json(out);
-    std::cout << "wrote " << timeline.snapshot_count()
-              << " timeline snapshots to " << timeline_out << "\n";
-  }
-  if (!slo_out.empty()) {
-    std::ofstream out(slo_out);
-    if (!out) {
-      std::cerr << "cannot open " << slo_out << "\n";
-      return 1;
-    }
-    tracker.write_json(out);
-    std::cout << "wrote " << tracker.size() << " slo(s), "
-              << tracker.alerts().size() << " alert event(s) to " << slo_out
-              << "\n";
+  if (!write_timeline(timeline_out, timeline) ||
+      !write_slo_log(slo_out, tracker)) {
+    return 1;
   }
   if (const int rc = write_obs_outputs(flags.obs, registry, recorder);
       rc != 0) {
@@ -2110,34 +1864,23 @@ int cmd_tsdb(int argc, char** argv) {
   std::vector<std::string> positional;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (const int eaten = eat_common_flag(argc, argv, i, flags);
-        eaten != 0) {
-      if (eaten < 0) return 1;
-      i += eaten - 1;
-      continue;
-    }
+    const int shared = eat_common_flag(argc, argv, i, flags);
+    if (shared < 0) return 1;
+    if (shared > 0) continue;
     if (arg == "--plan" || arg == "--dir") {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
+      if (!take_value(argc, argv, i, arg == "--plan" ? plan_spec : dir_base)) {
         return 1;
       }
-      (arg == "--plan" ? plan_spec : dir_base) = argv[++i];
     } else if (arg.rfind("--", 0) == 0) {
       return unknown_flag("tsdb", arg);
     } else {
       positional.push_back(arg);
     }
   }
-  const std::uint64_t seeds =
-      !positional.empty()
-          ? static_cast<std::uint64_t>(std::atoll(positional[0].c_str()))
-          : 10;
-  const std::size_t keys =
-      positional.size() > 1
-          ? static_cast<std::size_t>(std::atoi(positional[1].c_str()))
-          : 8;
-  const int days =
-      positional.size() > 2 ? std::atoi(positional[2].c_str()) : 6;
+  const auto seeds =
+      static_cast<std::uint64_t>(positional_or(positional, 0, 10));
+  const auto keys = static_cast<std::size_t>(positional_or(positional, 1, 8));
+  const auto days = static_cast<int>(positional_or(positional, 2, 6));
   const std::size_t pool_threads = flags.threads != 0 ? flags.threads : 8;
   const std::uint64_t seed_base = flags.seed_set ? flags.seed : 1;
   try {
@@ -2266,19 +2009,14 @@ int cmd_control(int argc, char** argv) {
   double multiplier = 4.0;
   double duration_s = 0.0;  // 0 = keep the cell default below
   for (int i = 3; i < argc; ++i) {
-    if (const int eaten = eat_common_flag(argc, argv, i, flags); eaten != 0) {
-      if (eaten < 0) return 2;
-      i += eaten - 1;
-      continue;
-    }
+    const int shared = eat_common_flag(argc, argv, i, flags);
+    if (shared < 0) return 2;
+    if (shared > 0) continue;
     const std::string arg = argv[i];
     if (arg == "--policy" || arg == "--mult" || arg == "--duration" ||
         arg == "--log-out") {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        return 2;
-      }
-      const std::string value = argv[++i];
+      std::string value;
+      if (!take_value(argc, argv, i, value)) return 2;
       if (arg == "--policy") {
         policy_text = value;
       } else if (arg == "--mult") {
@@ -2312,6 +2050,7 @@ int cmd_control(int argc, char** argv) {
   config.seed = flags.seed_set ? flags.seed : 21;
   config.load_multiplier = multiplier;
   config.duration_s = duration_s > 0.0 ? duration_s : 2.5;
+  config.events = control::standard_chaos_events(config.duration_s);
   config.publish_every_s = 0.5;
   config.controller.policy = policy;
   config.controller.shard_unit_qps = 400.0;
@@ -2322,18 +2061,11 @@ int cmd_control(int argc, char** argv) {
   config.controller.min_channel_capacity = 64;
   const std::size_t threads =
       util::ThreadPool::resolve(flags.threads_set ? flags.threads : 1);
-  config.threads = threads;
 
   const double nominal = static_cast<double>(config.controller.initial_shards) *
                          config.controller.shard_unit_qps;
   const auto level_name = [](int level) {
-    switch (level) {
-      case 0: return "full";
-      case 1: return "cached-only";
-      case 2: return "coarse-percentile";
-      case 3: return "stale-tolerant";
-      default: return "shed";
-    }
+    return std::string(serve::to_string(serve::brownout_level(level)));
   };
 
   if (mode == "status") {
@@ -2367,42 +2099,18 @@ int cmd_control(int argc, char** argv) {
     for (int level = 0; level <= 4; ++level) {
       std::cout << (level == 0 ? " " : " -> ") << level_name(level);
     }
-    std::cout << "\nchaos windows (fractions of the run):\n";
-    for (const auto& window : config.windows) {
-      const char* kind = window.kind == control::ChaosWindow::Kind::kShardKill
-                             ? "shard-kill"
-                         : window.kind == control::ChaosWindow::Kind::kReplDelay
-                             ? "repl-delay"
-                             : "tsdb-error";
-      std::cout << "  " << kind << " [" << util::fmt_double(window.begin_frac, 2)
-                << ", " << util::fmt_double(window.end_frac, 2) << ")";
-      if (window.kind == control::ChaosWindow::Kind::kShardKill) {
-        std::cout << " shard " << window.shard;
-      }
-      std::cout << "\n";
+    std::cout << "\nchaos timeline:\n";
+    for (const serve::Event& event : config.events) {
+      std::cout << "  " << event.at_ms << " ms: " << serve::to_string(event.action)
+                << " " << event.target << "\n";
     }
     return 0;
   }
 
   // sweep: build a small serving world, then run the cell.
-  synth::WorldConfig world_config;
-  world_config.seed = 13;
-  world_config.num_streamers = 60;
-  world_config.p_twitter = 0.9;
-  const synth::World world(world_config);
-  synth::BehaviorConfig behavior;
-  behavior.days = 3;
-  synth::SessionGenerator generator(world, behavior, 3);
-  const auto streams = generator.generate();
-  core::TeroConfig pipeline_config;
-  pipeline_config.threads = threads;
-  core::Pipeline pipeline(pipeline_config);
-  const core::Dataset dataset = pipeline.run(world, streams);
-  std::vector<serve::SnapshotEntry> entries = serve::entries_from(dataset);
-  if (entries.empty()) {
-    std::cerr << "pipeline produced no snapshot entries\n";
-    return 1;
-  }
+  std::vector<serve::SnapshotEntry> entries =
+      Scenario(13, 60, 3, 3, /*p_twitter=*/0.9).entries(threads);
+  if (entries.empty()) return 1;
 
   std::unique_ptr<util::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
@@ -2414,17 +2122,17 @@ int cmd_control(int argc, char** argv) {
             << util::fmt_double(report.offered_qps, 0) << " qps, seed "
             << config.seed << ", " << threads << " thread"
             << (threads == 1 ? "" : "s") << ")\n";
+  serve::print_tally(std::cout, report);
   util::Table table({"metric", "value"});
-  table.add_row({"issued", std::to_string(report.issued)});
-  table.add_row({"ok", std::to_string(report.ok)});
-  table.add_row({"stale", std::to_string(report.stale)});
-  table.add_row({"shed", std::to_string(report.shed) + " (" +
-                             util::fmt_percent(report.shed_fraction) + ")"});
-  table.add_row({"brownout refused", std::to_string(report.brownout)});
-  table.add_row({"unavailable", std::to_string(report.unavailable)});
-  table.add_row({"denied fraction", util::fmt_percent(report.denied_fraction)});
-  table.add_row({"p50 / p99 ms", util::fmt_double(report.p50_ms, 2) + " / " +
-                                     util::fmt_double(report.p99_ms, 2)});
+  table.add_row({"shed fraction", util::fmt_percent(report.share(report.shed)) +
+                                      " (" + std::to_string(report.overflow) +
+                                      " queue overflow)"});
+  table.add_row({"denied fraction",
+                 util::fmt_percent(report.share(
+                     report.shed + report.brownout + report.unavailable))});
+  table.add_row({"modeled p50 / p99 ms",
+                 util::fmt_double(report.modeled_p50_ms, 2) + " / " +
+                     util::fmt_double(report.modeled_p99_ms, 2)});
   table.add_row({"slo good", util::fmt_percent(report.slo_good_fraction) +
                                  (report.slo_fired ? " (alert fired)" : "")});
   table.add_row({"max ladder rung", std::to_string(report.max_level) +
@@ -2437,26 +2145,12 @@ int cmd_control(int argc, char** argv) {
                  std::to_string(report.first_ladder_ms) + " / " +
                      std::to_string(report.first_shed_ms)});
   table.add_row({"ticks", std::to_string(report.ticks)});
-  {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(report.decision_digest));
-    table.add_row({"decision digest", buffer});
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(report.checksum));
-    table.add_row({"result checksum", buffer});
-  }
+  table.add_row({"decision digest", serve::hex64(report.decision_digest)});
   table.print(std::cout);
 
-  if (!log_out.empty()) {
-    std::ofstream out(log_out);
-    if (!out) {
-      std::cerr << "cannot open " << log_out << "\n";
-      return 1;
-    }
-    out << report.decision_log;
-    std::cout << "wrote " << report.ticks << " decisions to " << log_out
-              << "\n";
+  if (!write_output(log_out, std::to_string(report.ticks) + " decisions",
+                    [&](std::ostream& out) { out << report.decision_log; })) {
+    return 1;
   }
 
   // Invariant gate: an adaptive policy under real overload must climb the

@@ -24,7 +24,9 @@
 #                `tero_cli cluster kill` / `cluster join` invariant run
 #                (availability under node loss, breaker SLO firing,
 #                ownership audit, remap bound — the CLI exits nonzero on
-#                any violation), and bench_cluster --tiny with a JSON
+#                any violation), a `cmp` of the kill run's tally and
+#                result checksum at 1 and 8 threads, and bench_cluster
+#                --tiny with a JSON
 #                parse check plus availability/determinism floors on
 #                BENCH_cluster.json.
 #   tsdb-smoke   Tiered-storage gate (DESIGN.md §15): the tsdb-labeled test
@@ -226,13 +228,30 @@ run_obs_smoke() {
 run_cluster_smoke() {
   cmake --preset default
   cmake --build --preset default -j "$(nproc)" \
-    --target cluster_test tero_cli bench_cluster bench_json_check
+    --target cluster_test replay_golden_test tero_cli bench_cluster \
+    bench_json_check
   (cd build && ctest -L cluster --output-on-failure -j "$(nproc)")
   # Invariant runs: the CLI asserts availability under a mid-sweep node
   # kill, the breaker opening plus its burn-rate SLO firing within two
   # scrapes, and — for join — the ownership audit and the < 2/n remap
   # bound. Either command exiting nonzero fails the gate.
-  ./build/examples/tero_cli cluster kill 60 2 12000 --threads 8
+  # Determinism gate: the kill run's tally and result checksum lines must
+  # be byte-identical at 1 and at 8 threads.
+  local out
+  out=$(mktemp -d)
+  ./build/examples/tero_cli cluster kill 60 2 12000 --threads 1 \
+    | tee "$out/kill1.txt"
+  ./build/examples/tero_cli cluster kill 60 2 12000 --threads 8 \
+    | tee "$out/kill8.txt"
+  grep -E '^  (issued|result checksum) ' "$out/kill1.txt" > "$out/sum1.txt"
+  grep -E '^  (issued|result checksum) ' "$out/kill8.txt" > "$out/sum8.txt"
+  if ! grep -q 'result checksum' "$out/sum1.txt" ||
+     ! cmp -s "$out/sum1.txt" "$out/sum8.txt"; then
+    echo "cluster-smoke: cluster kill result differs at 1 vs 8 threads" >&2
+    rm -rf "$out"
+    exit 1
+  fi
+  rm -rf "$out"
   ./build/examples/tero_cli cluster join 60 2 12000 --threads 8
   # Bench artifact gate: BENCH_cluster.json must parse and its committed
   # floors must hold — the 1-vs-N-thread churn sweep stayed bit-identical
@@ -271,7 +290,8 @@ run_cluster_smoke() {
 run_control_smoke() {
   cmake --preset default
   cmake --build --preset default -j "$(nproc)" \
-    --target control_test tero_cli bench_control bench_json_check
+    --target control_test replay_golden_test tero_cli bench_control \
+    bench_json_check
   (cd build && ctest -L control --output-on-failure -j "$(nproc)")
   # Bench artifact gate: BENCH_control.json must parse and the committed
   # floors must hold — the reactive policy sheds measurably less than the

@@ -27,7 +27,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     reads_ = &registry.counter("tero.cluster.reads");
     stale_reads_ = &registry.counter("tero.cluster.stale_reads");
     unavailable_ = &registry.counter("tero.cluster.unavailable");
-    refused_ = &registry.counter("tero.cluster.refused");
     failovers_ = &registry.counter("tero.cluster.failovers");
     denied_ = serve::DeniedCounters(&registry);
     epoch_gauge_ = &registry.gauge("tero.cluster.epoch");
@@ -229,7 +228,6 @@ RouteDecision Cluster::route(const serve::Query& query, std::uint64_t now_ms,
       if (node.applied == nullptr || lag > config_.staleness_budget) {
         // Bounded staleness: over-budget answers are refused, never
         // served. Not a node failure — the breaker stays untouched.
-        if (refused_ != nullptr) refused_->add();
         denied_.add(serve::DenyReason::kStale);
         continue;
       }

@@ -232,10 +232,9 @@ class Cluster {
   obs::Counter* reads_ = nullptr;
   obs::Counter* stale_reads_ = nullptr;
   obs::Counter* unavailable_ = nullptr;
-  obs::Counter* refused_ = nullptr;    ///< over-budget staleness refusals
   obs::Counter* failovers_ = nullptr;  ///< non-first-choice attempts
-  /// Unified denial family: refused -> denied{reason=stale}, unavailable
-  /// -> denied{reason=unavailable} (the legacy counters stay as aliases).
+  /// Unified denial family: over-budget staleness refusals ->
+  /// denied{reason=stale}, unavailable -> denied{reason=unavailable}.
   serve::DeniedCounters denied_;
   obs::Gauge* epoch_gauge_ = nullptr;
   obs::Gauge* nodes_gauge_ = nullptr;

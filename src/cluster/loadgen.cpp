@@ -1,11 +1,9 @@
 #include "cluster/loadgen.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
-#include "serve/loadgen.hpp"
 #include "util/rng.hpp"
 
 namespace tero::cluster {
@@ -14,32 +12,37 @@ namespace {
 
 constexpr std::uint64_t kLatencySalt = 0x636c;  // "cl"
 
-void apply_event(Cluster& cluster, const ClusterEvent& event,
+void apply_event(Cluster& cluster, const serve::Event& event,
                  std::uint64_t now_ms) {
-  switch (event.kind) {
-    case ClusterEvent::Kind::kKill:
-      cluster.kill(event.node);
+  switch (event.action) {
+    case serve::EventAction::kKill:
+      cluster.kill(event.target);
       break;
-    case ClusterEvent::Kind::kRestart:
-      cluster.restart(event.node, now_ms);
+    case serve::EventAction::kRestart:
+      cluster.restart(event.target, now_ms);
       break;
-    case ClusterEvent::Kind::kJoin:
+    case serve::EventAction::kJoin:
       (void)cluster.join(now_ms);
       break;
-    case ClusterEvent::Kind::kLeave: {
+    case serve::EventAction::kLeave: {
       const auto names = cluster.node_names();
-      if (event.node < names.size()) (void)cluster.leave(names[event.node]);
+      if (event.target < names.size()) {
+        (void)cluster.leave(names[event.target]);
+      }
       break;
     }
-    case ClusterEvent::Kind::kPartition:
-      cluster.partition(event.node, /*severed=*/true);
+    case serve::EventAction::kPartition:
+      cluster.partition(event.target, /*severed=*/true);
       break;
-    case ClusterEvent::Kind::kHeal:
-      cluster.partition(event.node, /*severed=*/false);
+    case serve::EventAction::kHeal:
+      cluster.partition(event.target, /*severed=*/false);
       break;
-    case ClusterEvent::Kind::kRepublish:
+    case serve::EventAction::kRepublish:
       (void)cluster.republish(now_ms);
       break;
+    case serve::EventAction::kStoreDown:
+    case serve::EventAction::kStoreUp:
+      break;  // the fleet serves snapshots only
   }
 }
 
@@ -49,11 +52,10 @@ ClusterLoadReport run_cluster_loadtest(Cluster& cluster,
                                        const ClusterLoadConfig& config,
                                        util::ThreadPool* pool) {
   ClusterLoadReport report;
-  report.issued = config.queries;
   const serve::SnapshotPtr base = cluster.snapshot();
   if (base == nullptr) {
+    report.issued = config.queries;
     report.no_snapshot = config.queries;
-    report.availability = 0.0;
     return report;
   }
 
@@ -64,12 +66,6 @@ ClusterLoadReport run_cluster_loadtest(Cluster& cluster,
   gen.p_topk = config.p_topk;
   const std::vector<serve::Query> queries =
       serve::generate_queries(*base, gen);
-
-  std::vector<ClusterEvent> events = config.events;
-  std::stable_sort(events.begin(), events.end(),
-                   [](const ClusterEvent& a, const ClusterEvent& b) {
-                     return a.at_ms < b.at_ms;
-                   });
 
   obs::Counter* sent_counter = nullptr;
   obs::Counter* served_counter = nullptr;
@@ -86,25 +82,21 @@ ClusterLoadReport run_cluster_loadtest(Cluster& cluster,
     latency_hist = &registry.histogram("tero.cluster.loadgen.latency_ms");
   }
 
-  // Phase A: serial routing on the virtual clock. Everything stateful —
-  // scripted events, breaker transitions, replication applies, timeline
-  // scrapes, the synthetic latency histogram — happens here, in arrival
-  // order, so it cannot depend on thread scheduling.
-  const double qps = config.offered_qps > 0.0 ? config.offered_qps : 5000.0;
+  // Routing: scripted events, breaker transitions, replication applies,
+  // timeline scrapes and the modeled latency histogram all happen here,
+  // serially in arrival order on the virtual clock.
+  const serve::ArrivalClock clock{
+      config.offered_qps > 0.0 ? config.offered_qps : 5000.0};
+  serve::EventCursor events(config.events);
   const std::uint64_t latency_seed =
       util::mix_seed(config.seed, kLatencySalt);
   std::vector<RouteDecision> decisions(queries.size());
-  std::size_t next_event = 0;
   report.stale_age_hist.assign(
       static_cast<std::size_t>(cluster.config().staleness_budget) + 1, 0);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto arrival_ms = static_cast<std::uint64_t>(
-        static_cast<double>(i) * 1000.0 / qps);
-    while (next_event < events.size() &&
-           events[next_event].at_ms <= arrival_ms) {
-      apply_event(cluster, events[next_event], arrival_ms);
-      ++next_event;
-      ++report.events_applied;
+    const std::uint64_t arrival_ms = clock.at_ms(i);
+    while (const serve::Event* event = events.next_due(arrival_ms)) {
+      apply_event(cluster, *event, arrival_ms);
     }
     if (config.timeline != nullptr) config.timeline->advance_to(arrival_ms);
     decisions[i] = cluster.route(queries[i], arrival_ms, i, config.policy);
@@ -114,7 +106,6 @@ ClusterLoadReport run_cluster_loadtest(Cluster& cluster,
         decision.attempts > 0 ? decision.attempts - 1 : 0;
     if (decision.snapshot != nullptr) {
       if (decision.stale) {
-        ++report.stale;
         report.stale_age_max =
             std::max(report.stale_age_max, decision.stale_age);
       }
@@ -130,7 +121,7 @@ ClusterLoadReport run_cluster_loadtest(Cluster& cluster,
       } else if (decision.no_answer == serve::QueryStatus::kUnavailable) {
         unavailable_counter->add();
       }
-      // Synthetic service time: pure function of (seed, i, route outcome) —
+      // Modeled service time: pure function of (seed, i, route outcome) —
       // stale reads pay the follower catch-up tax, unavailable queries pay
       // the full failover walk. Never wall time.
       util::Rng rng = util::Rng::indexed(latency_seed, i);
@@ -149,65 +140,36 @@ ClusterLoadReport run_cluster_loadtest(Cluster& cluster,
   }
   // Fire any events scripted past the last arrival, then flush the
   // timeline so the final partial interval is captured.
-  const auto end_ms = static_cast<std::uint64_t>(
-      static_cast<double>(queries.size()) * 1000.0 / qps);
-  while (next_event < events.size() && events[next_event].at_ms <= end_ms) {
-    apply_event(cluster, events[next_event], end_ms);
-    ++next_event;
-    ++report.events_applied;
+  const std::uint64_t end_ms = clock.at_ms(queries.size());
+  while (const serve::Event* event = events.next_due(end_ms)) {
+    apply_event(cluster, *event, end_ms);
   }
+  report.events_applied = events.fired();
   if (config.timeline != nullptr && !queries.empty()) {
     config.timeline->flush(end_ms);
   }
 
-  // Phase B: parallel, pure evaluation of the fixed decisions against
-  // immutable snapshots.
-  struct Outcome {
-    serve::QueryStatus status = serve::QueryStatus::kNoSnapshot;
-    std::uint64_t hash = 0;
-  };
-  const std::vector<Outcome> outcomes = util::parallel_map(
-      pool, queries.size(), 64, [&](std::size_t i) -> Outcome {
-        const RouteDecision& decision = decisions[i];
-        serve::QueryResponse response;
-        if (decision.snapshot == nullptr) {
-          response.status = decision.no_answer;
-        } else {
-          response = serve::answer(queries[i], *decision.snapshot);
-          if (decision.stale) {
-            // STALE{age}: identical marking to the PR 5 degraded path —
-            // part of the answer's meaning, hashed into the checksum.
-            response.stale = true;
-            response.stale_age = decision.stale_age;
-          }
-        }
-        return Outcome{response.status, serve::hash_response(i, response)};
-      });
-
-  // Phase C: serial fold.
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    report.checksum ^= outcomes[i].hash;
-    switch (outcomes[i].status) {
-      case serve::QueryStatus::kOk: ++report.ok; break;
-      case serve::QueryStatus::kNotFound: ++report.not_found; break;
-      case serve::QueryStatus::kNoSnapshot: ++report.no_snapshot; break;
-      case serve::QueryStatus::kUnavailable: ++report.unavailable; break;
-      // Cluster routing never sheds or browns out.
-      case serve::QueryStatus::kShed: break;
-      case serve::QueryStatus::kBrownout: break;
+  // Execute: answer each fixed decision against its immutable snapshot.
+  report.add_all(serve::execute_all(pool, queries.size(), [&](std::size_t i) {
+    const RouteDecision& decision = decisions[i];
+    serve::QueryResponse response;
+    if (decision.snapshot == nullptr) {
+      response.status = decision.no_answer;
+      return response;
     }
-  }
-  if (report.issued > 0) {
-    report.availability =
-        1.0 - static_cast<double>(report.unavailable) /
-                  static_cast<double>(report.issued);
-    report.stale_fraction = static_cast<double>(report.stale) /
-                            static_cast<double>(report.issued);
-  }
+    response = serve::answer(queries[i], *decision.snapshot);
+    if (decision.stale) {
+      // STALE{age}: identical marking to the degraded serve path — part of
+      // the answer's meaning, hashed into the checksum.
+      response.stale = true;
+      response.stale_age = decision.stale_age;
+    }
+    return response;
+  }));
   if (latency_hist != nullptr && latency_hist->count() > 0) {
-    report.p50_ms = latency_hist->quantile(0.50);
-    report.p95_ms = latency_hist->quantile(0.95);
-    report.p99_ms = latency_hist->quantile(0.99);
+    report.modeled_p50_ms = latency_hist->quantile(0.50);
+    report.modeled_p95_ms = latency_hist->quantile(0.95);
+    report.modeled_p99_ms = latency_hist->quantile(0.99);
   }
   return report;
 }

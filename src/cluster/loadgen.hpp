@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "serve/replay.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tero::obs {
@@ -14,44 +15,16 @@ class MetricsTimeline;
 
 namespace tero::cluster {
 
-/// Deterministic cluster load generation (DESIGN.md §14): the same Zipf
-/// open-loop query stream as serve::loadgen, swept against the fleet with a
-/// scripted membership/fault timeline riding the virtual clock.
-///
-/// Three-phase determinism (the cluster variant of the §13 serial-replay
-/// pattern):
-///   A. serial, arrival order — apply due ClusterEvents, advance the
-///      metrics timeline, route every query (breakers, replication
-///      deliveries and staleness checks all mutate here), and record the
-///      route-level counters plus the synthetic latency histogram (a pure
-///      function of (seed, i, route outcome)).
-///   B. parallel, pure — evaluate serve::answer against each decision's
-///      immutable snapshot and hash the responses.
-///   C. serial fold — XOR checksum, status counts, staleness distribution.
-/// Phases A and C never touch the pool and phase B mutates nothing, so the
-/// checksum, availability and staleness numbers are bit-identical at any
-/// thread count — including sweeps that kill, join or partition mid-run.
-
-/// One scripted action at a virtual time. `node` is the node *index at the
-/// moment the event fires* (earlier events may have changed the roster).
-struct ClusterEvent {
-  enum class Kind {
-    kKill,       ///< node loss (stays in the ring; replicas take over)
-    kRestart,    ///< revive + deterministic resync
-    kJoin,       ///< add a node, live key remapping
-    kLeave,      ///< remove node `node` from the ring
-    kPartition,  ///< sever the node's replication link (reads keep going)
-    kHeal,       ///< re-link a partitioned node
-    kRepublish,  ///< advance the epoch (same entries) — staleness driver
-  };
-  Kind kind = Kind::kKill;
-  std::uint64_t at_ms = 0;
-  std::size_t node = 0;  ///< ignored for kJoin / kRepublish
-};
+/// Deterministic cluster load generation (DESIGN.md §14): the serve replay
+/// driver (serve/replay.hpp) swept against the fleet with a scripted
+/// membership/fault timeline riding the virtual clock. The cluster's
+/// routing step is Cluster::route plus the due membership events; its
+/// execute step is serve::answer against the decision's immutable snapshot.
+/// Route-level counters and the modeled latency histogram (a pure function
+/// of (seed, i, route outcome)) are written while routing.
 
 struct ClusterLoadConfig {
   std::size_t queries = 10000;
-  std::size_t threads = 1;
   std::uint64_t seed = 1;
   double zipf_s = 1.1;
   double p_topk = 0.02;
@@ -59,8 +32,9 @@ struct ClusterLoadConfig {
   /// > 0 — the cluster is driven entirely by virtual time.
   double offered_qps = 5000.0;
   ReadPolicy policy = ReadPolicy::kLeaderOnly;
-  /// Scripted membership/fault timeline (sorted by at_ms internally).
-  std::vector<ClusterEvent> events;
+  /// Scripted membership/fault timeline: kKill, kRestart, kJoin, kLeave,
+  /// kPartition, kHeal and kRepublish apply; other actions are ignored.
+  std::vector<serve::Event> events;
   /// Optional virtual-time telemetry (both may be null). Deterministic
   /// prefixes: "tero.cluster." and "tero.fault.breaker" — every series
   /// under them is written from the serial phases only.
@@ -68,29 +42,19 @@ struct ClusterLoadConfig {
   obs::MetricsTimeline* timeline = nullptr;
 };
 
-struct ClusterLoadReport {
-  std::size_t issued = 0;
-  std::size_t ok = 0;
-  std::size_t not_found = 0;
-  std::size_t no_snapshot = 0;
-  std::size_t unavailable = 0;  ///< no owner could serve within budget
-  std::size_t stale = 0;        ///< served from a lagging epoch
+struct ClusterLoadReport : serve::Tally {
   std::size_t failover_attempts = 0;  ///< extra owners tried beyond the first
   std::size_t events_applied = 0;
-  /// XOR-fold of hash_response(i, response_i); thread-count independent.
-  std::uint64_t checksum = 0;
   /// Served-staleness distribution: stale_age_hist[age] = answers served
   /// `age` epochs behind. Never longer than budget + 1 (the bounded-
   /// staleness property the tests pin).
   std::vector<std::size_t> stale_age_hist;
   std::uint64_t stale_age_max = 0;
-  double availability = 1.0;    ///< 1 - unavailable / issued
-  double stale_fraction = 0.0;  ///< stale / issued
-  // Synthetic-latency quantiles (ms) from tero.cluster.loadgen.latency_ms
-  // when metrics are attached; 0 otherwise. Deterministic (virtual time).
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
+  // Modeled latency quantiles (ms) from tero.cluster.loadgen.latency_ms
+  // when metrics are attached; 0 otherwise. Virtual time, not wall time.
+  double modeled_p50_ms = 0.0;
+  double modeled_p95_ms = 0.0;
+  double modeled_p99_ms = 0.0;
 };
 
 /// Sweep `config.queries` deterministic queries against `cluster` on

@@ -12,7 +12,6 @@
 #include "obs/slo.hpp"
 #include "obs/timeline.hpp"
 #include "serve/brownout.hpp"
-#include "serve/loadgen.hpp"
 #include "serve/service.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -27,9 +26,9 @@ constexpr std::uint64_t kHistorySalt = 0x74646268ULL;  ///< history tagging
 constexpr std::uint64_t kReplSalt = 0x7265706cULL;     ///< repl-delay stales
 constexpr std::uint64_t kLatencySalt = 0x63747254ULL;  ///< service time
 
-/// Phase A's routing verdict for one arrival — everything Phase B needs to
-/// build the response without touching shared state.
-enum class Outcome : std::uint8_t {
+/// The routing verdict for one arrival — everything the execute step needs
+/// to build the response without touching shared state.
+enum class Verdict : std::uint8_t {
   kServe = 0,    ///< fresh answer from the epoch current at arrival
   kServeStale,   ///< degraded/stale-tolerant answer from the prior epoch
   kShed,         ///< admission token bucket empty
@@ -39,24 +38,26 @@ enum class Outcome : std::uint8_t {
 };
 
 struct Route {
-  Outcome outcome = Outcome::kShed;
+  Verdict verdict = Verdict::kShed;
   std::uint32_t epoch_index = 0;  ///< into the sweep's snapshot history
-  std::uint32_t stale_age = 1;
   double param = 0.0;  ///< post-brownout query parameter
 };
 
-[[nodiscard]] bool window_active(const ChaosWindow& window,
-                                 double frac) noexcept {
-  return frac >= window.begin_frac && frac < window.end_frac;
-}
-
 }  // namespace
 
-std::vector<ChaosWindow> standard_chaos_windows() {
+std::vector<serve::Event> standard_chaos_events(double duration_s) {
+  const auto at = [duration_s](double fraction) {
+    return static_cast<std::uint64_t>(
+        std::llround(fraction * duration_s * 1000.0));
+  };
+  using serve::EventAction;
   return {
-      {ChaosWindow::Kind::kShardKill, 0.30, 0.45, 1},
-      {ChaosWindow::Kind::kReplDelay, 0.55, 0.65, 0},
-      {ChaosWindow::Kind::kTsdbError, 0.70, 0.80, 0},
+      {at(0.30), EventAction::kKill, 1},
+      {at(0.45), EventAction::kRestart, 1},
+      {at(0.55), EventAction::kPartition, 0},
+      {at(0.65), EventAction::kHeal, 0},
+      {at(0.70), EventAction::kStoreDown, 0},
+      {at(0.80), EventAction::kStoreUp, 0},
   };
 }
 
@@ -127,7 +128,7 @@ SweepReport run_control_sweep(std::vector<serve::SnapshotEntry> entries,
   const std::vector<serve::Query> queries =
       serve::generate_queries(*service.snapshot(), gen);
 
-  // --- Chaos plane: background fault plan + scripted windows + breakers. ---
+  // --- Chaos plane: background fault plan + scripted timeline + breakers.
   fault::FaultInjector injector(
       fault::FaultPlan::parse(config.fault_plan, config.seed), &registry);
   const std::size_t total_shards = serve_config.shards;
@@ -144,23 +145,35 @@ SweepReport run_control_sweep(std::vector<serve::SnapshotEntry> entries,
   }
   fault::FaultPoint* tsdb_point = &injector.point("tsdb.read");
 
-  const auto kind_active = [&config](ChaosWindow::Kind kind, double frac) {
-    for (const ChaosWindow& window : config.windows) {
-      if (window.kind == kind && window_active(window, frac)) return true;
-    }
-    return false;
-  };
-  const auto shard_down = [&config](std::size_t shard, double frac) {
-    for (const ChaosWindow& window : config.windows) {
-      if (window.kind == ChaosWindow::Kind::kShardKill &&
-          window.shard == shard && window_active(window, frac)) {
-        return true;
+  serve::EventCursor chaos(config.events);
+  std::vector<char> shard_dead(total_shards, 0);
+  bool repl_delayed = false;
+  bool tsdb_down = false;
+  const auto advance_chaos = [&](std::uint64_t now_ms) {
+    while (const serve::Event* event = chaos.next_due(now_ms)) {
+      switch (event->action) {
+        case serve::EventAction::kKill:
+        case serve::EventAction::kRestart:
+          if (event->target < total_shards) {
+            shard_dead[event->target] =
+                event->action == serve::EventAction::kKill ? 1 : 0;
+          }
+          break;
+        case serve::EventAction::kPartition:
+        case serve::EventAction::kHeal:
+          repl_delayed = event->action == serve::EventAction::kPartition;
+          break;
+        case serve::EventAction::kStoreDown:
+        case serve::EventAction::kStoreUp:
+          tsdb_down = event->action == serve::EventAction::kStoreDown;
+          break;
+        default:
+          break;  // membership actions: one service, no ring to change
       }
     }
-    return false;
   };
 
-  // --- Controller + queueing state (all Phase A serial). ---
+  // --- Controller + queueing state (all serial routing). ---
   const SignalSeries series;
   std::uint64_t next_tick_ms = 0;
   double next_publish_s = config.publish_every_s;
@@ -177,11 +190,9 @@ SweepReport run_control_sweep(std::vector<serve::SnapshotEntry> entries,
   // Single-shard capacity times the provisioned fleet, discounted by the
   // fraction of the ring currently dead (a killed shard takes both its
   // traffic share and its capacity with it).
-  const auto live_capacity = [&](double frac) {
-    std::size_t down = 0;
-    for (std::size_t i = 0; i < total_shards; ++i) {
-      if (shard_down(i, frac)) ++down;
-    }
+  const auto live_capacity = [&] {
+    const auto down = static_cast<std::size_t>(
+        std::count(shard_dead.begin(), shard_dead.end(), 1));
     const double healthy_frac =
         static_cast<double>(total_shards - down) /
         static_cast<double>(std::max<std::size_t>(1, total_shards));
@@ -191,12 +202,12 @@ SweepReport run_control_sweep(std::vector<serve::SnapshotEntry> entries,
 
   // One controller tick at virtual time `t_ms`: scrape, decide, actuate.
   const auto run_tick = [&](std::uint64_t t_ms) {
+    advance_chaos(t_ms);
     timeline.advance_to(t_ms);
     Signals signals = Controller::scrape(timeline, &tracker, series);
     signals.t_ms = t_ms;
-    const double frac = (static_cast<double>(t_ms) / 1000.0) / duration_s;
     signals.queue_depth = backlog;
-    signals.queue_delay_s = backlog / live_capacity(frac);
+    signals.queue_delay_s = backlog / live_capacity();
     std::size_t open = 0;
     for (const auto& breaker : breakers) {
       if (breaker->state() != fault::CircuitBreaker::State::kClosed) ++open;
@@ -221,21 +232,23 @@ SweepReport run_control_sweep(std::vector<serve::SnapshotEntry> entries,
         std::min(report.min_channel_capacity, decision.channel_capacity);
   };
 
-  // ---- Phase A: serial routing on the virtual clock. ----
+  // ---- Routing: serial, in arrival order on the virtual clock. ----
+  const serve::ArrivalClock clock{offered};
   std::vector<Route> routes(total_queries);
   for (std::size_t i = 0; i < total_queries; ++i) {
-    const double arrival_s = static_cast<double>(i) / offered;
+    const double arrival_s = clock.at_s(i);
+    // The control clock truncates seconds to milliseconds (its decision
+    // digests are pinned to this rounding).
     const auto arrival_ms = static_cast<std::uint64_t>(arrival_s * 1000.0);
-    const double frac = arrival_s / duration_s;
 
     while (next_tick_ms <= arrival_ms) {
       run_tick(next_tick_ms);
       next_tick_ms += tick_every;
     }
+    advance_chaos(arrival_ms);
 
     // Republish cadence — paused while replication is delayed, so reads in
     // that window really are behind.
-    const bool repl_delayed = kind_active(ChaosWindow::Kind::kReplDelay, frac);
     if (!repl_delayed && next_publish_s <= arrival_s) {
       service.publish(entries);
       epochs.push_back(service.snapshot());
@@ -243,9 +256,8 @@ SweepReport run_control_sweep(std::vector<serve::SnapshotEntry> entries,
     }
 
     // Drain the queue model up to this arrival.
-    backlog = std::max(0.0,
-                       backlog - (arrival_s - last_arrival_s) *
-                                     live_capacity(frac));
+    backlog = std::max(0.0, backlog - (arrival_s - last_arrival_s) *
+                                          live_capacity());
     last_arrival_s = arrival_s;
 
     timeline.advance_to(arrival_ms);
@@ -266,29 +278,28 @@ SweepReport run_control_sweep(std::vector<serve::SnapshotEntry> entries,
     const auto degrade = [&](Route& r) {
       if (stale_possible) {
         r.epoch_index = static_cast<std::uint32_t>(epochs.size() - 2);
-        r.stale_age = 1;
-        return Outcome::kServeStale;
+        return Verdict::kServeStale;
       }
-      return Outcome::kUnavailable;
+      return Verdict::kUnavailable;
     };
 
-    Outcome outcome;
+    Verdict verdict;
     if (action.refuse ||
         (history && level != serve::BrownoutLevel::kFull)) {
       // The ladder disables expensive kinds; historical (tsdb-backed)
       // queries count as range kinds from kCachedOnly up.
-      outcome = Outcome::kBrownout;
+      verdict = Verdict::kBrownout;
     } else if (!service.try_admit(arrival_s)) {
-      outcome = Outcome::kShed;  // service counted denied{reason=shed}
+      verdict = Verdict::kShed;  // service counted denied{reason=shed}
     } else {
       const std::size_t shard = service.shard_for(action.query);
-      const bool dead = shard_down(shard, frac);
       bool failed;
       if (!breakers[shard]->allow(arrival_s)) {
         failed = true;  // breaker open/probing: fail fast, no bookkeeping
       } else {
         const fault::FaultDecision fd = shard_points[shard]->decide(i);
-        failed = dead || fd.kind == fault::FaultKind::kError ||
+        failed = shard_dead[shard] != 0 ||
+                 fd.kind == fault::FaultKind::kError ||
                  fd.kind == fault::FaultKind::kCrash;
         if (failed) {
           breakers[shard]->on_failure(arrival_s);
@@ -298,80 +309,80 @@ SweepReport run_control_sweep(std::vector<serve::SnapshotEntry> entries,
       }
 
       if (failed) {
-        outcome = degrade(route);
+        verdict = degrade(route);
       } else if (history &&
-                 (kind_active(ChaosWindow::Kind::kTsdbError, frac) ||
-                  static_cast<bool>(tsdb_point->decide(i)))) {
-        outcome = Outcome::kUnavailable;
+                 (tsdb_down || static_cast<bool>(tsdb_point->decide(i)))) {
+        verdict = Verdict::kUnavailable;
       } else if (action.prefer_stale && stale_possible) {
-        outcome = degrade(route);
+        verdict = degrade(route);
       } else if (repl_delayed &&
                  util::Rng::indexed(util::mix_seed(config.seed, kReplSalt), i)
                          .bernoulli(config.repl_stale_prob) &&
                  stale_possible) {
-        outcome = degrade(route);
+        verdict = degrade(route);
       } else {
-        outcome = Outcome::kServe;
+        verdict = Verdict::kServe;
       }
 
       // Queue bound: served work enters the backlog; past the bound the
       // request is overflow-shed instead.
-      if (outcome == Outcome::kServe || outcome == Outcome::kServeStale) {
+      if (verdict == Verdict::kServe || verdict == Verdict::kServeStale) {
         const double cost =
             history ? serve::query_kind_cost(serve::QueryKind::kRangeMean)
                     : action.cost;
         if (backlog + cost > queue_limit) {
-          outcome = Outcome::kOverflow;
+          verdict = Verdict::kOverflow;
         } else {
           backlog += cost;
         }
       }
     }
-    route.outcome = outcome;
+    route.verdict = verdict;
 
-    // Outcome accounting (counters feed the controller's own signals).
-    switch (outcome) {
-      case Outcome::kServe:
+    // Verdict accounting (counters feed the controller's own signals).
+    switch (verdict) {
+      case Verdict::kServe:
         served_counter.add();
         break;
-      case Outcome::kServeStale:
+      case Verdict::kServeStale:
         stale_counter.add();
         break;
-      case Outcome::kShed:
+      case Verdict::kShed:
         break;  // already counted by try_admit
-      case Outcome::kOverflow:
+      case Verdict::kOverflow:
         denied.add(serve::DenyReason::kShed);
         overflow_counter.add();
+        ++report.overflow;
         break;
-      case Outcome::kBrownout:
+      case Verdict::kBrownout:
         denied.add(serve::DenyReason::kBrownout);
         brownout_counter.add();
         break;
-      case Outcome::kUnavailable:
+      case Verdict::kUnavailable:
         denied.add(serve::DenyReason::kUnavailable);
         unavailable_counter.add();
         break;
     }
-    if ((outcome == Outcome::kShed || outcome == Outcome::kOverflow) &&
+    if ((verdict == Verdict::kShed || verdict == Verdict::kOverflow) &&
         report.first_shed_ms == 0) {
       report.first_shed_ms = std::max<std::uint64_t>(1, arrival_ms);
     }
 
-    // Synthetic service latency: a pure function of (seed, i, outcome) plus
+    // Modeled service latency: a pure function of (seed, i, verdict) plus
     // the deterministic queueing delay — never wall time.
     util::Rng latency_rng =
         util::Rng::indexed(util::mix_seed(config.seed, kLatencySalt), i);
     const double base_ms = 0.2 + latency_rng.exponential(2.0);
-    const double queue_ms = 1000.0 * backlog / live_capacity(frac);
+    const double queue_ms = 1000.0 * backlog / live_capacity();
     double latency_ms;
-    switch (outcome) {
-      case Outcome::kServe:
+    switch (verdict) {
+      case Verdict::kServe:
         latency_ms = base_ms + queue_ms;
         break;
-      case Outcome::kServeStale:
+      case Verdict::kServeStale:
         latency_ms = 1.0 + 1.5 * base_ms + queue_ms;
         break;
-      case Outcome::kUnavailable:
+      case Verdict::kUnavailable:
         latency_ms = 25.0 + base_ms;
         break;
       default:  // shed / overflow / brownout: immediate refusal
@@ -389,79 +400,38 @@ SweepReport run_control_sweep(std::vector<serve::SnapshotEntry> entries,
   }
   timeline.flush(duration_ms);
 
-  // ---- Phase B: parallel pure evaluation of the fixed routes. ----
-  struct Evaluated {
-    serve::QueryStatus status = serve::QueryStatus::kShed;
-    std::uint64_t hash = 0;
-  };
-  const std::vector<Evaluated> evaluated = util::parallel_map(
-      pool, total_queries, 64, [&](std::size_t i) -> Evaluated {
-        const Route& route = routes[i];
-        serve::QueryResponse response;
-        switch (route.outcome) {
-          case Outcome::kServe:
-          case Outcome::kServeStale: {
-            serve::Query query = queries[i];
-            query.param = route.param;
-            response = serve::answer(query, *epochs[route.epoch_index]);
-            if (route.outcome == Outcome::kServeStale) {
-              response.stale = true;
-              response.stale_age = route.stale_age;
-            }
-            break;
-          }
-          case Outcome::kShed:
-          case Outcome::kOverflow:
-            response.status = serve::QueryStatus::kShed;
-            break;
-          case Outcome::kBrownout:
-            response.status = serve::QueryStatus::kBrownout;
-            break;
-          case Outcome::kUnavailable:
-            response.status = serve::QueryStatus::kUnavailable;
-            break;
+  // ---- Execute: answer each fixed route from the epoch routing picked.
+  report.add_all(serve::execute_all(pool, total_queries, [&](std::size_t i) {
+    const Route& route = routes[i];
+    serve::QueryResponse response;
+    switch (route.verdict) {
+      case Verdict::kServe:
+      case Verdict::kServeStale: {
+        serve::Query query = queries[i];
+        query.param = route.param;
+        response = serve::answer(query, *epochs[route.epoch_index]);
+        if (route.verdict == Verdict::kServeStale) {
+          response.stale = true;
+          response.stale_age = 1;  // degraded reads serve the prior epoch
         }
-        return {response.status, serve::hash_response(i, response)};
-      });
-
-  // ---- Phase C: serial fold. ----
-  report.issued = total_queries;
-  for (std::size_t i = 0; i < total_queries; ++i) {
-    report.checksum ^= evaluated[i].hash;
-    switch (routes[i].outcome) {
-      case Outcome::kServe:
-      case Outcome::kServeStale:
-        if (evaluated[i].status == serve::QueryStatus::kOk) {
-          ++report.ok;
-        } else {
-          ++report.not_found;
-        }
-        if (routes[i].outcome == Outcome::kServeStale) ++report.stale;
         break;
-      case Outcome::kShed:
-        ++report.shed;
+      }
+      case Verdict::kShed:
+      case Verdict::kOverflow:
+        response.status = serve::QueryStatus::kShed;
         break;
-      case Outcome::kOverflow:
-        ++report.shed;
-        ++report.overflow;
+      case Verdict::kBrownout:
+        response.status = serve::QueryStatus::kBrownout;
         break;
-      case Outcome::kBrownout:
-        ++report.brownout;
-        break;
-      case Outcome::kUnavailable:
-        ++report.unavailable;
+      case Verdict::kUnavailable:
+        response.status = serve::QueryStatus::kUnavailable;
         break;
     }
-  }
-  const auto issued = static_cast<double>(report.issued);
-  report.shed_fraction = static_cast<double>(report.shed) / issued;
-  report.denied_fraction =
-      static_cast<double>(report.shed + report.brownout +
-                          report.unavailable) /
-      issued;
-  report.stale_fraction = static_cast<double>(report.stale) / issued;
-  report.p50_ms = latency_hist.quantile(0.50);
-  report.p99_ms = latency_hist.quantile(0.99);
+    return response;
+  }));
+
+  report.modeled_p50_ms = latency_hist.quantile(0.50);
+  report.modeled_p99_ms = latency_hist.quantile(0.99);
   for (const obs::SloStatus& status : tracker.status()) {
     if (status.slo == series.slo) {
       const std::uint64_t verdicts = status.good + status.bad;

@@ -6,6 +6,7 @@
 
 #include "control/controller.hpp"
 #include "fault/policy.hpp"
+#include "serve/replay.hpp"
 #include "serve/snapshot.hpp"
 
 namespace tero::util {
@@ -21,34 +22,22 @@ namespace tero::control {
 /// telemetry, while a scripted chaos schedule (shard kill, replication
 /// delay, tsdb read errors) churns underneath.
 ///
-/// Three-phase execution (the cluster loadgen pattern): Phase A walks
-/// arrivals serially on the virtual clock and takes every stateful decision
-/// — controller ticks, admission, brownout, breaker transitions, fault
-/// draws, the queueing model — so outcomes depend only on (seed, config).
-/// Phase B fans the fixed routing decisions out to a pool for pure
-/// serve::answer evaluation. Phase C folds the checksum. The decision log
-/// and checksum are therefore bit-identical for any thread count.
+/// The control driver is the serve replay driver (serve/replay.hpp) with
+/// controller ticks, the queue model, breakers, fault draws and the chaos
+/// timeline in its serial routing step; its execute step answers each fixed
+/// route from the epoch routing picked. The decision log and checksum are
+/// therefore bit-identical for any thread count.
 
-/// One scripted chaos window, in fractions of the run's virtual duration.
-struct ChaosWindow {
-  enum class Kind : std::uint8_t {
-    kShardKill,  ///< the shard fails every request (node kill)
-    kReplDelay,  ///< replication lags: publishes pause, reads go stale
-    kTsdbError,  ///< the historical store refuses reads (tsdb.read)
-  };
-  Kind kind = Kind::kShardKill;
-  double begin_frac = 0.0;
-  double end_frac = 0.0;
-  std::size_t shard = 0;  ///< kShardKill only
-};
-
-/// The standard chaos plan the acceptance gates run under: one shard killed
-/// mid-run, a replication-delay window, a tsdb error window.
-[[nodiscard]] std::vector<ChaosWindow> standard_chaos_windows();
+/// The standard chaos plan the acceptance gates run under, for a run of
+/// `duration_s` virtual seconds: shard 1 killed over 30-45% of the run, a
+/// replication delay (publishes pause, reads go stale) over 55-65%, and
+/// tsdb read errors over 70-80%. Each window is a begin and an end event at
+/// the nearest virtual millisecond.
+[[nodiscard]] std::vector<serve::Event> standard_chaos_events(
+    double duration_s);
 
 struct SweepConfig {
   std::uint64_t seed = 1;
-  std::size_t threads = 1;
   /// Virtual run length; the query count is duration_s * offered rate.
   double duration_s = 12.0;
   /// Offered load: explicit qps, or (when <= 0) load_multiplier times the
@@ -65,8 +54,14 @@ struct SweepConfig {
 
   /// Background fault noise, always on (the windows ride on top).
   std::string fault_plan = "serve.shard*=error@0.02;tsdb.read=error@0.1";
-  std::vector<ChaosWindow> windows = standard_chaos_windows();
-  /// During a kReplDelay window the per-query draw under this probability
+  /// Scripted chaos timeline: kKill/kRestart take shard `target` down and
+  /// back, kPartition/kHeal delay replication, kStoreDown/kStoreUp fail
+  /// tsdb reads; other actions are ignored. Each action's state is the
+  /// last event that set it, so windows of one kind must not overlap. The
+  /// default is the standard plan for the default duration: rebuild it
+  /// when changing duration_s.
+  std::vector<serve::Event> events = standard_chaos_events(12.0);
+  /// While replication is delayed the per-query draw under this probability
   /// forces a stale (previous-epoch) read — the replica hasn't applied.
   double repl_stale_prob = 0.6;
   fault::CircuitBreaker::Config breaker{5, 2.0, 2};
@@ -80,20 +75,12 @@ struct SweepConfig {
   std::uint64_t slo_fast_window_ms = 2000;
 };
 
-struct SweepReport {
-  std::size_t issued = 0;
-  std::size_t ok = 0;
-  std::size_t not_found = 0;
-  std::size_t stale = 0;        ///< served from the previous epoch
-  std::size_t shed = 0;         ///< token + overflow sheds
-  std::size_t overflow = 0;     ///< queue-bound overflow subset of shed
-  std::size_t brownout = 0;     ///< refused by the ladder
-  std::size_t unavailable = 0;  ///< tsdb window / no epoch to degrade to
-  double shed_fraction = 0.0;
-  double denied_fraction = 0.0;  ///< (shed+brownout+unavailable) / issued
-  double stale_fraction = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
+struct SweepReport : serve::Tally {
+  // The tally's shed counts token and overflow sheds alike.
+  std::size_t overflow = 0;  ///< queue-bound overflow subset of shed
+  // Modeled service-latency quantiles: the queue model's virtual time.
+  double modeled_p50_ms = 0.0;
+  double modeled_p99_ms = 0.0;
   double slo_good_fraction = 1.0;
   bool slo_fired = false;
   /// Virtual time of the first shed and the first ladder-up decision
@@ -105,7 +92,6 @@ struct SweepReport {
   std::size_t peak_shards = 0;
   std::size_t min_channel_capacity = 0;
   std::size_t ticks = 0;
-  std::uint64_t checksum = 0;         ///< XOR of hash_response(i, ...)
   std::uint64_t decision_digest = 0;  ///< fnv1a64 of decision_log
   std::string decision_log;           ///< byte-stable, one line per tick
   double offered_qps = 0.0;
@@ -114,7 +100,7 @@ struct SweepReport {
 
 /// Run one sweep cell. `entries` is the serving dataset (published twice up
 /// front so a previous epoch exists for stale reads); `pool` parallelizes
-/// Phase B only (nullptr = serial).
+/// the execute step only (nullptr = serial).
 [[nodiscard]] SweepReport run_control_sweep(
     std::vector<serve::SnapshotEntry> entries, const SweepConfig& config,
     util::ThreadPool* pool);

@@ -128,10 +128,8 @@ QueryService::QueryService(ServeConfig config)
     queries_total_ = &registry.counter("tero.serve.queries");
     hits_counter_ = &registry.counter("tero.serve.cache_hits");
     misses_counter_ = &registry.counter("tero.serve.cache_misses");
-    shed_counter_ = &registry.counter("tero.serve.shed");
     not_found_counter_ = &registry.counter("tero.serve.not_found");
     degraded_counter_ = &registry.counter("tero.serve.degraded");
-    unavailable_counter_ = &registry.counter("tero.serve.unavailable");
     denied_ = DeniedCounters(&registry);
     registry.set_gauge("tero.serve.brownout_level", {}, 0.0);
     query_ms_ = &registry.histogram("tero.serve.query_ms");
@@ -143,6 +141,8 @@ QueryService::QueryService(ServeConfig config)
           labeled("tero.serve.cache_hits", {{"shard", shard_names_[i]}}));
       shards_[i]->misses_counter = &registry.counter(obs::MetricsRegistry::
           labeled("tero.serve.cache_misses", {{"shard", shard_names_[i]}}));
+      shards_[i]->depth_gauge = &registry.gauge(obs::MetricsRegistry::labeled(
+          "tero.serve.shard_queue_depth", {{"shard", shard_names_[i]}}));
     }
   }
 }
@@ -160,6 +160,19 @@ void QueryService::invalidate_caches() {
 
 std::uint64_t QueryService::publish(std::vector<SnapshotEntry> entries) {
   const obs::ScopedSpan span(config_.trace, "serve.publish", "serve");
+  return install([&] { return publisher_.publish(std::move(entries)); });
+}
+
+void QueryService::publish(SnapshotPtr snapshot) {
+  const obs::ScopedSpan span(config_.trace, "serve.publish", "serve");
+  (void)install([&] {
+    publisher_.publish(std::move(snapshot));
+    return publisher_.epoch();
+  });
+}
+
+std::uint64_t QueryService::install(
+    const std::function<std::uint64_t()>& swap) {
   {
     // The outgoing epoch becomes the degraded path's "last good" snapshot.
     SnapshotPtr outgoing = publisher_.current();
@@ -168,7 +181,7 @@ std::uint64_t QueryService::publish(std::vector<SnapshotEntry> entries) {
       previous_ = std::move(outgoing);
     }
   }
-  const std::uint64_t epoch = publisher_.publish(std::move(entries));
+  const std::uint64_t epoch = swap();
   publishes_.fetch_add(1, std::memory_order_relaxed);
   invalidate_caches();
   if (config_.metrics != nullptr) {
@@ -177,25 +190,6 @@ std::uint64_t QueryService::publish(std::vector<SnapshotEntry> entries) {
                                static_cast<double>(epoch));
   }
   return epoch;
-}
-
-void QueryService::publish(SnapshotPtr snapshot) {
-  const obs::ScopedSpan span(config_.trace, "serve.publish", "serve");
-  {
-    SnapshotPtr outgoing = publisher_.current();
-    if (outgoing != nullptr) {
-      std::lock_guard<std::mutex> lock(previous_mutex_);
-      previous_ = std::move(outgoing);
-    }
-  }
-  publisher_.publish(std::move(snapshot));
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-  invalidate_caches();
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("tero.serve.publishes").add();
-    config_.metrics->set_gauge("tero.serve.epoch", {},
-                               static_cast<double>(publisher_.epoch()));
-  }
 }
 
 std::string QueryService::shard_key(const Query& query) {
@@ -361,10 +355,7 @@ QueryResponse QueryService::compute(const Query& query,
 bool QueryService::try_admit(double now_s) {
   const bool admitted =
       admission_.try_admit(now_s >= 0.0 ? now_s : wall_now_s());
-  if (!admitted) {
-    if (shed_counter_ != nullptr) shed_counter_->add();
-    denied_.add(DenyReason::kShed);
-  }
+  if (!admitted) denied_.add(DenyReason::kShed);
   return admitted;
 }
 
@@ -420,7 +411,6 @@ QueryResponse QueryService::degraded(const Query& query,
   if (last_good == nullptr) {
     // Range kinds always land here: history has no stale epoch to fall
     // back on — a downed shard makes them explicitly unavailable.
-    if (unavailable_counter_ != nullptr) unavailable_counter_->add();
     denied_.add(DenyReason::kUnavailable);
     QueryResponse response;
     response.status = QueryStatus::kUnavailable;
@@ -504,10 +494,8 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
   }
   const std::size_t depth =
       shard.inflight.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (config_.metrics != nullptr) {
-    config_.metrics->set_gauge("tero.serve.shard_queue_depth",
-                               {{"shard", shard_names_[shard_index]}},
-                               static_cast<double>(depth));
+  if (shard.depth_gauge != nullptr) {
+    shard.depth_gauge->set(static_cast<double>(depth));
   }
 
   const std::string key = cache_key(effective);
@@ -541,16 +529,6 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
 
   shard.inflight.fetch_sub(1, std::memory_order_relaxed);
   return response;
-}
-
-std::vector<QueryResponse> QueryService::query_batch(
-    std::span<const Query> queries, double now_s) {
-  std::vector<QueryResponse> responses;
-  responses.reserve(queries.size());
-  for (const Query& query : queries) {
-    responses.push_back(this->query(query, now_s));
-  }
-  return responses;
 }
 
 std::uint64_t QueryService::cache_hits() const {

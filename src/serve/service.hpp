@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +27,7 @@ namespace tero::obs {
 class MetricsRegistry;
 class TraceRecorder;
 class Counter;
+class Gauge;
 class Histogram;
 }  // namespace tero::obs
 
@@ -94,8 +94,6 @@ enum class BrownoutLevel : std::uint8_t;
 /// Unified denial accounting (DESIGN.md §16): every request the system turns
 /// away increments `tero.serve.denied{reason=...}` with one of these labels,
 /// so SLO specs and the overload controller read a single series family.
-/// The legacy names (tero.serve.shed, tero.serve.unavailable,
-/// tero.cluster.refused, ...) still tick as aliases for one release.
 enum class DenyReason : std::uint8_t {
   kShed,         ///< admission control rejected (token bucket empty)
   kStale,        ///< bounded-staleness refusal (over the staleness budget)
@@ -225,11 +223,6 @@ class QueryService {
   [[nodiscard]] QueryResponse query_admitted(const Query& query,
                                              double now_s = -1.0);
 
-  /// Batch point lookup; one admission charge per query, shared snapshot
-  /// load (all answers come from the same epoch).
-  [[nodiscard]] std::vector<QueryResponse> query_batch(
-      std::span<const Query> queries, double now_s = -1.0);
-
   /// Retune the admission token bucket mid-run (the overload controller's
   /// actuation path; see AdmissionController::set_rate for the
   /// no-minting/no-negative contract). Exports the new rate as the
@@ -284,10 +277,12 @@ class QueryService {
     std::uint64_t folded_hits = 0;
     std::uint64_t folded_misses = 0;
     std::uint64_t folded_evictions = 0;
-    /// Per-shard labeled counters (null when metrics are off):
-    /// tero.serve.cache_hits{shard=shard-i} and the matching misses.
+    /// Per-shard labeled series (null when metrics are off):
+    /// tero.serve.cache_hits{shard=shard-i}, the matching misses, and the
+    /// tero.serve.shard_queue_depth{shard=shard-i} gauge.
     obs::Counter* hits_counter = nullptr;
     obs::Counter* misses_counter = nullptr;
+    obs::Gauge* depth_gauge = nullptr;
     /// Fault-injection hook ("serve.shard-<i>"; null = healthy shard) and
     /// the circuit breaker guarding it (null when injection is off).
     fault::FaultPoint* fault_point = nullptr;
@@ -296,6 +291,10 @@ class QueryService {
     explicit Shard(std::size_t cache_capacity) : cache(cache_capacity) {}
   };
 
+  /// The one publish body: retire the current epoch to previous_, run
+  /// `swap` (which installs the new snapshot and returns its epoch), then
+  /// invalidate the caches and export the publish metrics.
+  std::uint64_t install(const std::function<std::uint64_t()>& swap);
   /// Publish-path cache invalidation: folds each shard's per-epoch cache
   /// stats into its lifetime totals, then clears entries and stats.
   void invalidate_caches();
@@ -338,10 +337,8 @@ class QueryService {
   obs::Counter* queries_total_ = nullptr;
   obs::Counter* hits_counter_ = nullptr;
   obs::Counter* misses_counter_ = nullptr;
-  obs::Counter* shed_counter_ = nullptr;
   obs::Counter* not_found_counter_ = nullptr;
   obs::Counter* degraded_counter_ = nullptr;
-  obs::Counter* unavailable_counter_ = nullptr;
   DeniedCounters denied_;
   obs::Histogram* query_ms_ = nullptr;
 };

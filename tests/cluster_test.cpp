@@ -227,12 +227,12 @@ TEST(ClusterLoadGen, BoundedStalenessAndChecksumAcross10SeedsAndThreads) {
       load.policy = seed % 2 == 0 ? ReadPolicy::kFollowerPreferred
                                   : ReadPolicy::kLeaderOnly;
       load.events = {
-          {ClusterEvent::Kind::kPartition, 100, 1},
-          {ClusterEvent::Kind::kRepublish, 200, 0},
-          {ClusterEvent::Kind::kRepublish, 400, 0},
-          {ClusterEvent::Kind::kRepublish, 600, 0},
-          {ClusterEvent::Kind::kHeal, 700, 1},
-          {ClusterEvent::Kind::kRepublish, 800, 0},
+          {100, serve::EventAction::kPartition, 1},
+          {200, serve::EventAction::kRepublish, 0},
+          {400, serve::EventAction::kRepublish, 0},
+          {600, serve::EventAction::kRepublish, 0},
+          {700, serve::EventAction::kHeal, 1},
+          {800, serve::EventAction::kRepublish, 0},
       };
       util::ThreadPool pool(threads);
       return run_cluster_loadtest(cluster, load,
@@ -273,11 +273,11 @@ TEST(ClusterLoadGen, ChecksumIdenticalWithKillAndJoinMidSweep) {
     // The kill waits out the initial replication window (<= 450 ms), so
     // the dead leader's followers all hold an in-budget epoch.
     load.events = {
-        {ClusterEvent::Kind::kRepublish, 150, 0},
-        {ClusterEvent::Kind::kKill, 500, 1},
-        {ClusterEvent::Kind::kJoin, 650, 0},
-        {ClusterEvent::Kind::kRepublish, 750, 0},
-        {ClusterEvent::Kind::kRestart, 850, 1},
+        {150, serve::EventAction::kRepublish, 0},
+        {500, serve::EventAction::kKill, 1},
+        {650, serve::EventAction::kJoin, 0},
+        {750, serve::EventAction::kRepublish, 0},
+        {850, serve::EventAction::kRestart, 1},
     };
     util::ThreadPool pool(threads);
     const ClusterLoadReport report =
@@ -290,12 +290,12 @@ TEST(ClusterLoadGen, ChecksumIdenticalWithKillAndJoinMidSweep) {
   const ClusterLoadReport serial = sweep(1);
   const ClusterLoadReport parallel = sweep(8);
   EXPECT_EQ(serial.checksum, parallel.checksum);
-  EXPECT_EQ(serial.availability, parallel.availability);
+  EXPECT_EQ(serial.availability(), parallel.availability());
   EXPECT_EQ(serial.stale_age_hist, parallel.stale_age_hist);
   EXPECT_EQ(serial.events_applied, 5u);
   EXPECT_EQ(parallel.events_applied, 5u);
   // One kill among five nodes with two replicas: followers keep serving.
-  EXPECT_GE(serial.availability, 0.99);
+  EXPECT_GE(serial.availability(), 0.99);
   EXPECT_LE(serial.stale_age_max, small_config().staleness_budget);
 }
 
@@ -326,7 +326,7 @@ TEST(ClusterLoadGen, KilledNodeBreakerFiresWithinOneScrape) {
   load.metrics = &registry;
   load.timeline = &timeline;
   constexpr std::uint64_t kKillMs = 2000;
-  load.events = {{ClusterEvent::Kind::kKill, kKillMs, 1}};
+  load.events = {{kKillMs, serve::EventAction::kKill, 1}};
   const ClusterLoadReport report =
       run_cluster_loadtest(cluster, load, nullptr);
 
@@ -349,7 +349,7 @@ TEST(ClusterLoadGen, KilledNodeBreakerFiresWithinOneScrape) {
   EXPECT_LE(first_fire_ms, kKillMs + 2 * timeline_config.scrape_every_ms);
 
   // Followers absorbed the killed node's ranges: availability holds.
-  EXPECT_GE(report.availability, 0.99);
+  EXPECT_GE(report.availability(), 0.99);
   EXPECT_EQ(cluster.breaker_state(1), fault::CircuitBreaker::State::kOpen);
 }
 
@@ -363,7 +363,7 @@ TEST(ClusterLoadGen, FollowerPreferredPolicyProducesStaleServing) {
   load.seed = 5;
   load.offered_qps = 2000.0;
   load.policy = ReadPolicy::kFollowerPreferred;
-  load.events = {{ClusterEvent::Kind::kRepublish, 500, 0}};
+  load.events = {{500, serve::EventAction::kRepublish, 0}};
   const ClusterLoadReport report =
       run_cluster_loadtest(cluster, load, nullptr);
   // After the mid-sweep epoch bump, follower-preferred reads lag until the

@@ -54,6 +54,7 @@ SweepConfig tiny_sweep(Policy policy, double multiplier,
   SweepConfig config;
   config.seed = seed;
   config.duration_s = 2.5;
+  config.events = standard_chaos_events(config.duration_s);
   config.load_multiplier = multiplier;
   config.publish_every_s = 0.5;
   config.controller.policy = policy;
@@ -327,9 +328,9 @@ TEST(Sweep, ReactiveShedsLessThanStaticAtFourX) {
       sweep_entries(), tiny_sweep(Policy::kStatic, 4.0), nullptr);
   const SweepReport reactive = run_control_sweep(
       sweep_entries(), tiny_sweep(Policy::kReactive, 4.0), nullptr);
-  ASSERT_GT(stat.shed_fraction, 0.2)
+  ASSERT_GT(stat.share(stat.shed), 0.2)
       << "static baseline must be visibly overloaded at 4x";
-  EXPECT_LT(reactive.shed_fraction, stat.shed_fraction);
+  EXPECT_LT(reactive.share(reactive.shed), stat.share(stat.shed));
   EXPECT_GT(reactive.max_level, 0) << "the ladder never engaged";
 }
 
@@ -353,7 +354,7 @@ TEST(Sweep, UnderloadedHealthyCellStaysAtFullFidelity) {
   // (With chaos on, even an underloaded controller is *supposed* to brown
   // out — tsdb refusals breach the latency SLO; see ChaosWindowsLeaveTheirMark.)
   SweepConfig config = tiny_sweep(Policy::kReactive, 0.1);
-  config.windows.clear();
+  config.events.clear();
   config.fault_plan = "serve.shard*=error@0.02";
   const SweepReport report =
       run_control_sweep(sweep_entries(), config, nullptr);
@@ -378,20 +379,18 @@ TEST(DeniedCounters, UnifiedFamilyMovesWithLegacyAliases) {
   query.location.country = "DE";
   query.game = "lol";
 
-  // Burn the single token, then shed twice: legacy tero.serve.shed and
-  // denied{reason=shed} tick together.
+  // Burn the single token, then shed twice: denied{reason=shed} counts
+  // exactly the admission controller's sheds.
   (void)service.query(query, 0.0);
   (void)service.query(query, 0.0);
   (void)service.query(query, 0.0);
-  const std::uint64_t legacy_shed =
-      registry.counter("tero.serve.shed").value();
   const std::uint64_t denied_shed =
       registry
           .counter(obs::MetricsRegistry::labeled("tero.serve.denied",
                                                  {{"reason", "shed"}}))
           .value();
-  EXPECT_GT(denied_shed, 0u);
-  EXPECT_EQ(denied_shed, legacy_shed);
+  EXPECT_EQ(denied_shed, 2u);
+  EXPECT_EQ(denied_shed, service.shed_count());
 
   // Brownout refusals land in the same family under their own label.
   service.set_admission_rate(1.0, 0.0);

@@ -8,8 +8,8 @@
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/epoch.hpp"
-#include "serve/loadgen.hpp"
 #include "serve/lru_cache.hpp"
+#include "serve/replay.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/snapshot_io.hpp"
@@ -271,6 +271,50 @@ TEST(QueryServiceTest, CacheHitsAndInvalidationOnPublish) {
             1.0);
 }
 
+TEST(QueryServiceTest, ShardQueueDepthGaugeReadsInFlightDepth) {
+  obs::MetricsRegistry registry;
+  ServeConfig config;
+  config.shards = 4;
+  config.metrics = &registry;
+  QueryService service(config);
+  service.publish(three_entries());
+  const auto depth_of = [&registry](std::size_t shard) {
+    for (const auto& [name, gauge] : registry.gauges()) {
+      if (name == "tero.serve.shard_queue_depth{shard=shard-" +
+                      std::to_string(shard) + "}") {
+        return gauge->value();
+      }
+    }
+    return -1.0;  // series missing
+  };
+  // Every shard's gauge is resolved at construction and reads 0 before
+  // any query arrives.
+  for (std::size_t shard = 0; shard < 4; ++shard) {
+    EXPECT_EQ(depth_of(shard), 0.0) << shard;
+  }
+
+  Query query;
+  query.location.country = "DE";
+  query.game = "lol";
+  query.kind = QueryKind::kMean;
+  const std::size_t owner = service.shard_for(query);
+  (void)service.query(query);
+  EXPECT_EQ(depth_of(owner), 1.0);  // only this query was in flight
+
+  // Concurrent readers of one key: each sample is the shard's in-flight
+  // count at admission, so it lies between 1 and the number of readers.
+  constexpr int kReaders = 4;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < 500; ++i) (void)service.query(query);
+    });
+  }
+  for (auto& reader : readers) reader.join();
+  EXPECT_GE(depth_of(owner), 1.0);
+  EXPECT_LE(depth_of(owner), static_cast<double>(kReaders));
+}
+
 TEST(QueryServiceTest, ShardingIsStableAndCovering) {
   ServeConfig config;
   config.shards = 4;
@@ -316,7 +360,11 @@ TEST(QueryServiceTest, ShedsUnderOverloadAndRecovers) {
   EXPECT_EQ(ok, 5u);
   EXPECT_EQ(shed, 15u);
   EXPECT_EQ(service.shed_count(), 15u);
-  EXPECT_EQ(registry.counter("tero.serve.shed").value(), 15u);
+  EXPECT_EQ(registry
+                .counter(obs::MetricsRegistry::labeled("tero.serve.denied",
+                                                       {{"reason", "shed"}}))
+                .value(),
+            15u);
 
   // One second later the bucket has refilled rate * 1s = 10 tokens, but the
   // balance is capped at the burst size, so only 5 more get through.

@@ -10,7 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/prom.hpp"
 #include "obs/timeline.hpp"
-#include "serve/loadgen.hpp"
+#include "serve/replay.hpp"
 #include "serve/service.hpp"
 #include "util/thread_pool.hpp"
 
@@ -225,7 +225,6 @@ TEST(Timeline, LoadtestTelemetryBitIdenticalAcrossThreadCounts) {
     service.publish(std::vector<serve::SnapshotEntry>{});
     serve::LoadGenConfig load;
     load.queries = 5000;
-    load.threads = threads;
     load.seed = 7;
     load.metrics = &registry;
     load.timeline = &timeline;

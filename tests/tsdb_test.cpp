@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
@@ -350,10 +351,14 @@ TEST(StoreTest, BitIdenticalAcrossThreadCounts) {
 class StoreDiskTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One directory per test and process: ctest runs these tests as
+    // separate processes in parallel, so a shared name would collide.
     dir_ = (fs::temp_directory_path() /
             ("tero_tsdb_store_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed())))
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()) +
+             "_" + std::to_string(::getpid())))
                .string();
     fs::remove_all(dir_);
   }
