@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -420,6 +421,31 @@ void BM_PipelineNoiseMetrics(benchmark::State& state) {
 BENCHMARK(BM_PipelineNoiseMetrics)
     ->Arg(1)
     ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// The location module (§3.1) over 240 world-wide streamers: every Twitch
+// description and linked Twitter field through the five geoparsing tools
+// against the gazetteer. Arg = pool size (1 = inline).
+void BM_LocateStreamers(benchmark::State& state) {
+  static const synth::World world = [] {
+    synth::WorldConfig config;
+    config.seed = 7;
+    config.num_streamers = 240;
+    return synth::World(config);
+  }();
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  std::unique_ptr<util::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::locate_streamers(world, pool.get()));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(world.streamers().size()));
+}
+BENCHMARK(BM_LocateStreamers)
+    ->Arg(1)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -5,7 +5,8 @@
 #   asan         AddressSanitizer, smoke-labeled tests   (fast memory checks)
 #   tsan         ThreadSanitizer, full test suite        (pool + pipeline races)
 #   bench-smoke  Run bench binaries at tiny N, then parse-check the
-#                BENCH_*.json artifacts with bench_json_check (obs::json).
+#                BENCH_*.json artifacts with bench_json_check (obs::json)
+#                and require every BENCH_stream.json run to match batch.
 #                Catches bench bitrot and malformed reporter output without
 #                paying for a full benchmark run.
 #   chaos-smoke  Fault-injection gate: the chaos-labeled test suite
@@ -114,6 +115,25 @@ run_bench_smoke() {
     fi
     echo "bench-smoke: artifacts$sizes"
     ./bench_json_check "${artifacts[@]}"
+    # Stream/batch equality: every runs[] row of BENCH_stream.json must have
+    # reproduced the batch snapshot byte for byte.
+    awk '/"runs": \[/ { in_runs = 1; next }
+         in_runs && /^ *\]/ { in_runs = 0 }
+         in_runs && /"threads"/ {
+           rows++
+           if (index($0, "\"matches_batch\": true") == 0) {
+             print "bench-smoke: stream run does not match batch: " $0
+             bad = 1
+           }
+         }
+         END {
+           if (rows == 0) {
+             print "bench-smoke: BENCH_stream.json has no runs[] rows"
+             exit 1
+           }
+           if (bad) exit 1
+           print "bench-smoke: stream matches batch in all " rows " runs"
+         }' BENCH_stream.json
   )
 }
 

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "geo/geo.hpp"
@@ -41,7 +43,8 @@ struct ContinentShare {
 /// distances (and hence latency baselines) are plausible. Name lookup is
 /// case-insensitive and alias-aware; names may be ambiguous (e.g. "Georgia"
 /// is both a US state and a country) — exactly the ambiguity that makes
-/// geoparsing hard (§3.1).
+/// geoparsing hard (§3.1). The constructor builds a case-folded name/alias
+/// index, so every lookup is one hash probe instead of a scan of all places.
 class Gazetteer {
  public:
   /// The process-wide world database (immutable after construction).
@@ -55,8 +58,14 @@ class Gazetteer {
     return shares_;
   }
 
-  /// All entries whose name or alias equals `name` (case-insensitive).
+  /// All entries whose name or alias equals `name` (case-insensitive), in
+  /// places() order, each place at most once.
   [[nodiscard]] std::vector<const Place*> find_all(std::string_view name) const;
+
+  /// Places whose name, at least `min_name_size` characters long, occurs
+  /// inside `text` (case-insensitive), in places() order.
+  [[nodiscard]] std::vector<const Place*> find_within(
+      std::string_view text, std::size_t min_name_size) const;
 
   /// The unique match of the given kind, or nullptr if none/ambiguous.
   [[nodiscard]] const Place* find(std::string_view name, PlaceKind kind) const;
@@ -85,8 +94,16 @@ class Gazetteer {
                      std::vector<ContinentShare> shares);
 
  private:
+  /// Indices into places_ of every place a name or alias names.
+  [[nodiscard]] std::span<const std::uint32_t> lookup(
+      std::string_view name) const;
+
   std::vector<Place> places_;
   std::vector<ContinentShare> shares_;
+  /// Case-folded name/alias -> place indices, ascending. Indices rather
+  /// than pointers keep a copied Gazetteer pointing at its own places.
+  std::unordered_map<std::string, std::vector<std::uint32_t>> index_;
+  std::vector<std::string> lower_names_;  ///< to_lower(places_[i].name)
 };
 
 /// The raw data backing Gazetteer::world() (defined in gazetteer_data.cpp).

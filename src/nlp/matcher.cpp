@@ -3,8 +3,6 @@
 #include <cctype>
 #include <string>
 
-#include "util/strings.hpp"
-
 namespace tero::nlp {
 namespace {
 
@@ -78,12 +76,7 @@ std::vector<PlaceMention> find_mentions(std::string_view text,
           candidate.size() >= 6) {
         // Substring fallback: a long token that *contains* a place name,
         // e.g. "Denmarkian". Only names >= 5 chars, to bound false hits.
-        for (const auto& place : gazetteer.places()) {
-          if (place.name.size() >= 5 &&
-              util::icontains(candidate, place.name)) {
-            matches.push_back(&place);
-          }
-        }
+        matches = gazetteer.find_within(candidate, 5);
       }
       if (matches.empty()) continue;
       for (const geo::Place* place : matches) {

@@ -131,7 +131,12 @@ QueryService::QueryService(ServeConfig config)
     not_found_counter_ = &registry.counter("tero.serve.not_found");
     degraded_counter_ = &registry.counter("tero.serve.degraded");
     denied_ = DeniedCounters(&registry);
-    registry.set_gauge("tero.serve.brownout_level", {}, 0.0);
+    publishes_counter_ = &registry.counter("tero.serve.publishes");
+    epoch_gauge_ = &registry.gauge("tero.serve.epoch");
+    admission_rate_gauge_ = &registry.gauge("tero.serve.admission_rate");
+    admission_rate_gauge_->set(config_.admission_rate_qps);
+    brownout_gauge_ = &registry.gauge("tero.serve.brownout_level");
+    brownout_gauge_->set(0.0);
     query_ms_ = &registry.histogram("tero.serve.query_ms");
     if (config_.exemplar_seed != 0) {
       query_ms_->enable_exemplars(config_.exemplar_seed);
@@ -184,10 +189,9 @@ std::uint64_t QueryService::install(
   const std::uint64_t epoch = swap();
   publishes_.fetch_add(1, std::memory_order_relaxed);
   invalidate_caches();
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("tero.serve.publishes").add();
-    config_.metrics->set_gauge("tero.serve.epoch", {},
-                               static_cast<double>(epoch));
+  if (publishes_counter_ != nullptr) {
+    publishes_counter_->add();
+    epoch_gauge_->set(static_cast<double>(epoch));
   }
   return epoch;
 }
@@ -362,18 +366,15 @@ bool QueryService::try_admit(double now_s) {
 void QueryService::set_admission_rate(double now_s, double rate_qps,
                                       double burst) {
   admission_.set_rate(now_s >= 0.0 ? now_s : wall_now_s(), rate_qps, burst);
-  if (config_.metrics != nullptr) {
-    config_.metrics->set_gauge("tero.serve.admission_rate", {}, rate_qps);
-  }
+  if (admission_rate_gauge_ != nullptr) admission_rate_gauge_->set(rate_qps);
 }
 
 void QueryService::set_brownout(BrownoutLevel level) {
   brownout_.store(static_cast<std::uint8_t>(level),
                   std::memory_order_relaxed);
-  if (config_.metrics != nullptr) {
-    config_.metrics->set_gauge("tero.serve.brownout_level", {},
-                               static_cast<double>(
-                                   static_cast<std::uint8_t>(level)));
+  if (brownout_gauge_ != nullptr) {
+    brownout_gauge_->set(
+        static_cast<double>(static_cast<std::uint8_t>(level)));
   }
 }
 

@@ -341,6 +341,11 @@ class QueryService {
   obs::Counter* degraded_counter_ = nullptr;
   DeniedCounters denied_;
   obs::Histogram* query_ms_ = nullptr;
+  // Publish- and control-path handles, resolved once like the above.
+  obs::Counter* publishes_counter_ = nullptr;
+  obs::Gauge* epoch_gauge_ = nullptr;
+  obs::Gauge* admission_rate_gauge_ = nullptr;
+  obs::Gauge* brownout_gauge_ = nullptr;
 };
 
 /// The pipeline -> serving bridge: a callback suitable for

@@ -41,10 +41,14 @@ Snapshot::Snapshot(std::uint64_t epoch, std::vector<SnapshotEntry> entries)
     entry.samples = entry.sorted_values.size();
     std::sort(entry.sorted_values.begin(), entry.sorted_values.end());
   }
-  std::sort(entries_.begin(), entries_.end(),
-            [](const SnapshotEntry& a, const SnapshotEntry& b) {
-              return a.key < b.key;
-            });
+  // The stream sink's live view hands entries over in key order already;
+  // check before paying for a sort.
+  const auto by_key = [](const SnapshotEntry& a, const SnapshotEntry& b) {
+    return a.key < b.key;
+  };
+  if (!std::is_sorted(entries_.begin(), entries_.end(), by_key)) {
+    std::sort(entries_.begin(), entries_.end(), by_key);
+  }
 }
 
 const SnapshotEntry* Snapshot::find(const geo::Location& location,

@@ -16,6 +16,7 @@
 #include "ocr/game_ui.hpp"
 #include "serve/service.hpp"
 #include "stream/checkpoint.hpp"
+#include "stream/live_view.hpp"
 #include "stream/schedule.hpp"
 #include "stream/window.hpp"
 #include "tsdb/store.hpp"
@@ -31,15 +32,6 @@ double wall_now_s() {
       .count();
 }
 
-/// Live aggregation key: believed location (already truncated to the
-/// aggregate granularity) and game.
-struct RunningKey {
-  geo::Location location;
-  std::string game;
-
-  auto operator<=>(const RunningKey&) const = default;
-};
-
 /// Tumbling-window key; map order puts older windows first, so the close
 /// scan walks windows in the deterministic close order.
 struct WindowKey {
@@ -53,11 +45,6 @@ struct WindowBuf {
   std::unique_ptr<WindowAggregate> agg;
   std::set<std::string> streamers;
   double first_wall = 0.0;  ///< observational: earliest ingest stamp
-};
-
-struct RunningBuf {
-  std::unique_ptr<WindowAggregate> agg;
-  std::set<std::string> streamers;
 };
 
 AggregateState export_aggregate(const WindowAggregate& agg) {
@@ -90,15 +77,16 @@ StreamResult StreamPipeline::run(const synth::World& world,
   const obs::ScopedSpan run_span(trace, "stream.run");
 
   util::simd::apply_mode(config_.tero.simd);
-  const StreamSchedule schedule = build_schedule(world, streams, config_);
-
-  const std::unique_ptr<core::ExtractionChannel> channel =
-      config_.tero.use_full_ocr ? core::make_ocr_channel(config_.tero.thumbnails)
-                                : core::make_noise_channel(config_.tero.noise);
   std::unique_ptr<util::ThreadPool> pool;
   if (util::ThreadPool::resolve(config_.tero.threads) > 1) {
     pool = std::make_unique<util::ThreadPool>(config_.tero.threads);
   }
+  const StreamSchedule schedule =
+      build_schedule(world, streams, config_, pool.get());
+
+  const std::unique_ptr<core::ExtractionChannel> channel =
+      config_.tero.use_full_ocr ? core::make_ocr_channel(config_.tero.thumbnails)
+                                : core::make_noise_channel(config_.tero.noise);
 
   // ---- Recovery: resume from the newest checkpoint, if any ---------------
   std::optional<CheckpointData> restored;
@@ -368,7 +356,7 @@ StreamResult StreamPipeline::run(const synth::World& world,
   // Runs on the calling thread.
   WatermarkTracker wm;
   std::map<WindowKey, WindowBuf> windows;
-  std::map<RunningKey, RunningBuf> running;
+  LiveView live(config_.sketch_alpha);
   std::vector<CollectedEntry> collected;
   std::uint64_t measurements = 0;
   std::uint64_t late_events = 0;
@@ -388,10 +376,9 @@ StreamResult StreamPipeline::run(const synth::World& world,
                       std::move(buf));
     }
     for (const auto& r : restored->running) {
-      RunningBuf buf;
-      buf.agg = restore_aggregate(r.agg, config_.sketch_alpha);
-      buf.streamers.insert(r.streamers.begin(), r.streamers.end());
-      running.emplace(RunningKey{r.location, r.game}, std::move(buf));
+      live.restore(RunningKey{r.location, r.game},
+                   restore_aggregate(r.agg, config_.sketch_alpha),
+                   {r.streamers.begin(), r.streamers.end()});
     }
     collected = restored->collected;
     measurements = restored->measurements;
@@ -404,27 +391,6 @@ StreamResult StreamPipeline::run(const synth::World& world,
   }
 
   std::vector<double> pending_publish_walls;
-  const auto build_live_entries = [&] {
-    std::vector<serve::SnapshotEntry> entries;
-    entries.reserve(running.size());
-    for (const auto& [key, buf] : running) {
-      serve::SnapshotEntry entry;
-      entry.location = key.location;
-      entry.game = key.game;
-      entry.key = serve::entry_key(key.location, key.game);
-      entry.streamers = buf.streamers.size();
-      entry.samples = static_cast<std::size_t>(buf.agg->count());
-      entry.mean_ms = buf.agg->mean();
-      const obs::QuantileSketch& sketch = buf.agg->sketch();
-      entry.box.p5 = sketch.quantile(0.05);
-      entry.box.p25 = sketch.quantile(0.25);
-      entry.box.p50 = sketch.quantile(0.50);
-      entry.box.p75 = sketch.quantile(0.75);
-      entry.box.p95 = sketch.quantile(0.95);
-      entries.push_back(std::move(entry));
-    }
-    return entries;
-  };
   const auto publish_live = [&] {
     windows_since_publish = 0;
     const std::uint64_t epoch = ++epoch_counter;
@@ -432,8 +398,8 @@ StreamResult StreamPipeline::run(const synth::World& world,
     if (epochs_counter != nullptr) epochs_counter->add();
     if (config_.service != nullptr) {
       const obs::ScopedTimer timer(publish_ms);
-      config_.service->publish(std::make_shared<const serve::Snapshot>(
-          epoch, build_live_entries()));
+      config_.service->publish(
+          std::make_shared<const serve::Snapshot>(epoch, live.entries()));
     }
     if (ingest_to_publish_ms != nullptr) {
       const double now = wall_now_s();
@@ -454,13 +420,7 @@ StreamResult StreamPipeline::run(const synth::World& world,
       const double window_end =
           static_cast<double>(it->first.window + 1) * config_.window_size_s;
       if (window_end + config_.allowed_lateness_s > watermark) break;
-      RunningBuf& buf = running[it->first.key];
-      if (buf.agg == nullptr) {
-        buf.agg = std::make_unique<WindowAggregate>(config_.sketch_alpha);
-      }
-      buf.agg->merge(*it->second.agg);
-      buf.streamers.insert(it->second.streamers.begin(),
-                           it->second.streamers.end());
+      live.merge(it->first.key, *it->second.agg, it->second.streamers);
       pending_publish_walls.push_back(it->second.first_wall);
       if (watermark_lag_s != nullptr) {
         watermark_lag_s->observe(watermark - window_end);
@@ -565,7 +525,7 @@ StreamResult StreamPipeline::run(const synth::World& world,
                                    buf.streamers.end());
             draft.windows.push_back(std::move(state));
           }
-          for (const auto& [key, buf] : running) {
+          for (const auto& [key, buf] : live.running()) {
             CheckpointData::RunningState state;
             state.location = key.location;
             state.game = key.game;

@@ -29,9 +29,10 @@ int marker_rank(EventKind kind) {
 
 StreamSchedule build_schedule(const synth::World& world,
                               std::span<const synth::TrueStream> streams,
-                              const StreamConfig& config) {
+                              const StreamConfig& config,
+                              util::ThreadPool* pool) {
   StreamSchedule schedule;
-  schedule.located = core::locate_streamers(world);
+  schedule.located = core::locate_streamers(world, pool);
 
   const store::Pseudonymizer pseudonymizer =
       core::make_pseudonymizer(config.tero.seed);

@@ -54,9 +54,10 @@ struct StreamSchedule {
 /// kDelaySalt), i); the download token bucket then pushes throttled
 /// arrivals forward (arrival times stay monotone — delivery is FIFO).
 /// Checkpoint barriers land every checkpoint_every_windows * window_size_s
-/// of arrival time.
+/// of arrival time. The location module geoparses on `pool` (null runs
+/// inline); the schedule is the same for any pool.
 [[nodiscard]] StreamSchedule build_schedule(
     const synth::World& world, std::span<const synth::TrueStream> streams,
-    const StreamConfig& config);
+    const StreamConfig& config, util::ThreadPool* pool);
 
 }  // namespace tero::stream

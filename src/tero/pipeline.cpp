@@ -64,30 +64,39 @@ obs::Histogram* task_histogram(obs::MetricsRegistry* metrics,
 
 }  // namespace
 
-LocatedWorld locate_streamers(const synth::World& world) {
-  LocatedWorld out;
+LocatedWorld locate_streamers(const synth::World& world,
+                              util::ThreadPool* pool) {
   const social::Locator locator(world.twitter(), world.steam());
-  out.located.resize(world.streamers().size());
-  out.sources.assign(world.streamers().size(), social::LocationSource::kNone);
-  out.located_after.resize(world.streamers().size());
-  for (std::size_t i = 0; i < world.streamers().size(); ++i) {
-    const auto result = locator.locate(world.streamers()[i].twitch);
-    out.located[i] = result.location;
-    out.sources[i] = result.source;
-    if (result.located()) ++out.streamers_located;
-  }
+  const auto& streamers = world.streamers();
+  struct Located {
+    social::LocatorResult result;
+    std::optional<geo::Location> after;
+  };
+  auto located = util::parallel_map(
+      pool, streamers.size(), 8, [&](std::size_t i) {
+        Located out;
+        out.result = locator.locate(streamers[i].twitch);
+        // §3.1.1: multiple locations per streamer. A relocated streamer
+        // advertises the new location; Tero re-geoparses the updated
+        // profile and keeps each {streamer, location} tuple as a distinct
+        // end-point. Epoch 0 = before the move, epoch 1 = after.
+        if (streamers[i].relocation.has_value() && out.result.located()) {
+          out.after = nlp::combine_twitter_location(
+              streamers[i].relocation->new_twitter_location,
+              locator.tools());
+        }
+        return out;
+      });
 
-  // §3.1.1: multiple locations per streamer. A relocated streamer advertises
-  // the new location; Tero re-geoparses the updated profile and keeps each
-  // {streamer, location} tuple as a distinct end-point. Epoch 0 = before the
-  // move, epoch 1 = after.
-  for (std::size_t i = 0; i < world.streamers().size(); ++i) {
-    const auto& streamer = world.streamers()[i];
-    if (!streamer.relocation.has_value() || !out.located[i].has_value()) {
-      continue;
-    }
-    out.located_after[i] = nlp::combine_twitter_location(
-        streamer.relocation->new_twitter_location, locator.tools());
+  LocatedWorld out;
+  out.located.reserve(located.size());
+  out.sources.reserve(located.size());
+  out.located_after.reserve(located.size());
+  for (auto& l : located) {
+    if (l.result.located()) ++out.streamers_located;
+    out.located.push_back(std::move(l.result.location));
+    out.sources.push_back(l.result.source);
+    out.located_after.push_back(std::move(l.after));
   }
   return out;
 }
@@ -317,7 +326,7 @@ Dataset Pipeline::run(const synth::World& world,
   {
     const obs::ScopedSpan stage_span(trace, "stage.location", "stage");
     const obs::ScopedTimer stage_timer(stage_histogram(metrics, "location"));
-    located = locate_streamers(world);
+    located = locate_streamers(world, pool_.get());
     dataset.funnel.streamers_total = world.streamers().size();
     dataset.funnel.streamers_located = located.streamers_located;
   }

@@ -172,8 +172,12 @@ struct LocatedWorld {
   std::size_t streamers_located = 0;
 };
 
-/// Run the location module over every streamer in the world.
-[[nodiscard]] LocatedWorld locate_streamers(const synth::World& world);
+/// Run the location module over every streamer in the world. Streamers
+/// are geoparsed independently on `pool` (null runs inline) into per-index
+/// slots; the located count is a serial fold, so the result does not depend
+/// on the thread count.
+[[nodiscard]] LocatedWorld locate_streamers(const synth::World& world,
+                                            util::ThreadPool* pool = nullptr);
 
 /// Location epoch of a ground-truth stream: 0 before the streamer's
 /// relocation takes effect, 1 after (only when the relocation was observed

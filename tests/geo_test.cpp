@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "geo/gazetteer.hpp"
 #include "geo/geo.hpp"
 #include "geo/servers.hpp"
+#include "util/strings.hpp"
 
 namespace tero::geo {
 namespace {
@@ -130,6 +136,192 @@ TEST(Gazetteer, ContinentSharesRoughlyNormalized) {
   }
   EXPECT_NEAR(internet, 1.0, 0.05);
   EXPECT_NEAR(population, 1.0, 0.05);
+}
+
+// ---- name index vs linear scan ---------------------------------------------
+//
+// The lookups as they were before the constructor built its name index,
+// kept here as the reference the index must reproduce exactly: same
+// pointers, same order.
+
+std::vector<const Place*> linear_find_all(const Gazetteer& g,
+                                          std::string_view name) {
+  std::vector<const Place*> matches;
+  for (const auto& place : g.places()) {
+    if (util::iequals(place.name, name)) {
+      matches.push_back(&place);
+      continue;
+    }
+    for (const auto& alias : place.aliases) {
+      if (util::iequals(alias, name)) {
+        matches.push_back(&place);
+        break;
+      }
+    }
+  }
+  return matches;
+}
+
+const Place* linear_find(const Gazetteer& g, std::string_view name,
+                         PlaceKind kind) {
+  const Place* found = nullptr;
+  for (const Place* place : linear_find_all(g, name)) {
+    if (place->kind != kind) continue;
+    if (found != nullptr) return nullptr;
+    found = place;
+  }
+  return found;
+}
+
+const Place* linear_find_any(const Gazetteer& g, std::string_view name) {
+  const auto matches = linear_find_all(g, name);
+  for (auto kind :
+       {PlaceKind::kCity, PlaceKind::kRegion, PlaceKind::kCountry}) {
+    for (const Place* place : matches) {
+      if (place->kind == kind) return place;
+    }
+  }
+  return nullptr;
+}
+
+const Place* linear_resolve(const Gazetteer& g, const Location& loc) {
+  const auto country_ok = [&](const Place& place) {
+    return loc.country.empty() || util::iequals(place.country, loc.country);
+  };
+  if (!loc.city.empty()) {
+    for (const auto& place : g.places()) {
+      if (place.kind == PlaceKind::kCity &&
+          util::iequals(place.name, loc.city) && country_ok(place)) {
+        return &place;
+      }
+    }
+  }
+  if (!loc.region.empty()) {
+    for (const auto& place : g.places()) {
+      if (place.kind == PlaceKind::kRegion &&
+          util::iequals(place.name, loc.region) && country_ok(place)) {
+        return &place;
+      }
+    }
+  }
+  if (!loc.country.empty()) {
+    for (const auto& place : g.places()) {
+      if (place.kind == PlaceKind::kCountry &&
+          util::iequals(place.name, loc.country)) {
+        return &place;
+      }
+    }
+  }
+  return nullptr;
+}
+
+std::vector<const Place*> linear_find_within(const Gazetteer& g,
+                                             std::string_view text) {
+  std::vector<const Place*> matches;
+  for (const auto& place : g.places()) {
+    if (place.name.size() >= 5 && util::icontains(text, place.name)) {
+      matches.push_back(&place);
+    }
+  }
+  return matches;
+}
+
+std::string upper(std::string_view text) {
+  std::string out(text);
+  for (char& c : out) c = static_cast<char>(std::toupper(
+                          static_cast<unsigned char>(c)));
+  return out;
+}
+
+std::string mixed(std::string_view text) {
+  std::string out = util::to_lower(text);
+  for (std::size_t i = 0; i < out.size(); i += 2) {
+    out[i] = static_cast<char>(std::toupper(static_cast<unsigned char>(out[i])));
+  }
+  return out;
+}
+
+void expect_index_matches_scan(const Gazetteer& g,
+                               const std::vector<std::string>& names) {
+  for (const auto& name : names) {
+    for (const std::string& v :
+         {name, upper(name), util::to_lower(name), mixed(name)}) {
+      EXPECT_EQ(g.find_all(v), linear_find_all(g, v)) << v;
+      for (auto kind :
+           {PlaceKind::kCity, PlaceKind::kRegion, PlaceKind::kCountry}) {
+        EXPECT_EQ(g.find(v, kind), linear_find(g, v, kind)) << v;
+      }
+      EXPECT_EQ(g.find_any(v), linear_find_any(g, v)) << v;
+      for (const Location& loc :
+           {Location{v, "", ""}, Location{"", v, ""}, Location{"", "", v},
+            Location{v, "", "Georgia"}, Location{v, v, v}}) {
+        EXPECT_EQ(g.resolve(loc), linear_resolve(g, loc)) << v;
+      }
+      for (const std::string& text : {v, v + "ian", "the" + v + "s"}) {
+        EXPECT_EQ(g.find_within(text, 5), linear_find_within(g, text))
+            << text;
+      }
+    }
+  }
+}
+
+TEST(GazetteerIndex, MatchesLinearScanForEveryNameAndAlias) {
+  const auto& world = Gazetteer::world();
+  std::vector<std::string> names = {
+      "Georgia", "georgia", "New York", "New York City", "Paris Hilton",
+      "Atlantis", "Narnia", "", " ", "a", "US", "UK", "Denmarkian",
+      "Turkey sandwiches", "Gamer", "League of Legends"};
+  for (const auto& place : world.places()) {
+    names.push_back(place.name);
+    names.insert(names.end(), place.aliases.begin(), place.aliases.end());
+  }
+  expect_index_matches_scan(world, names);
+
+  // Location tuples of every place, as stored and case-changed.
+  for (const auto& place : world.places()) {
+    const Location loc = place.location();
+    for (const Location& v :
+         {loc, Location{upper(loc.city), upper(loc.region),
+                        upper(loc.country)},
+          Location{mixed(loc.city), loc.region, util::to_lower(loc.country)},
+          Location{loc.city, "", ""}, Location{"", loc.region, ""}}) {
+      EXPECT_EQ(world.resolve(v), linear_resolve(world, v)) << v.to_string();
+    }
+  }
+}
+
+TEST(GazetteerIndex, AmbiguousAndRepeatedKeysKeepPlaceOrderOnce) {
+  // A place whose alias repeats its own name (in another case) and a second
+  // alias shared with a later place: the index lists each place once per
+  // key, in places() order.
+  Place city;
+  city.name = "Springfield";
+  city.kind = PlaceKind::kCity;
+  city.region = "Illinois";
+  city.country = "United States";
+  city.aliases = {"SPRINGFIELD", "Capital", "springfield"};
+  Place region;
+  region.name = "Capital";
+  region.kind = PlaceKind::kRegion;
+  region.country = "Neverland";
+  region.aliases = {"Springfield"};
+  Place country;
+  country.name = "Neverland";
+  country.aliases = {"capital", "CAPITAL"};
+  const Gazetteer g({city, region, country}, {});
+
+  const auto capital = g.find_all("capital");
+  ASSERT_EQ(capital.size(), 3u);
+  EXPECT_EQ(capital[0]->name, "Springfield");
+  EXPECT_EQ(capital[1]->name, "Capital");
+  EXPECT_EQ(capital[2]->name, "Neverland");
+  expect_index_matches_scan(
+      g, {"Springfield", "Capital", "Neverland", "Illinois", "Spring"});
+
+  // A copy answers from its own places, not the original's.
+  const Gazetteer copy = g;
+  ASSERT_EQ(copy.find_all("springfield").size(), 2u);
+  EXPECT_EQ(copy.find_all("springfield")[0], &copy.places()[0]);
 }
 
 TEST(GameCatalog, HasNineGamesOneWithoutServers) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <map>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,12 +18,14 @@
 #include "serve/snapshot_io.hpp"
 #include "stream/channel.hpp"
 #include "stream/checkpoint.hpp"
+#include "stream/live_view.hpp"
 #include "stream/pipeline.hpp"
 #include "stream/schedule.hpp"
 #include "stream/window.hpp"
 #include "synth/sessions.hpp"
 #include "synth/world.hpp"
 #include "tero/pipeline.hpp"
+#include "util/rng.hpp"
 
 namespace tero::stream {
 namespace {
@@ -285,6 +291,99 @@ std::string snapshot_bytes(std::uint64_t epoch,
   const serve::Snapshot snapshot(epoch, entries);
   serve::save_snapshot(snapshot, out);
   return out.str();
+}
+
+// -------------------------------------------------------------- live view --
+
+/// One running aggregate rebuilt from scratch: what the sink published
+/// before the live view cached entries.
+serve::SnapshotEntry rebuilt_entry(const RunningKey& key,
+                                   const WindowAggregate& agg,
+                                   const std::set<std::string>& streamers) {
+  serve::SnapshotEntry entry;
+  entry.location = key.location;
+  entry.game = key.game;
+  entry.key = serve::entry_key(key.location, key.game);
+  entry.streamers = streamers.size();
+  entry.samples = static_cast<std::size_t>(agg.count());
+  entry.mean_ms = agg.mean();
+  entry.box.p5 = agg.sketch().quantile(0.05);
+  entry.box.p25 = agg.sketch().quantile(0.25);
+  entry.box.p50 = agg.sketch().quantile(0.50);
+  entry.box.p75 = agg.sketch().quantile(0.75);
+  entry.box.p95 = agg.sketch().quantile(0.95);
+  return entry;
+}
+
+TEST(LiveView, IncrementalEntriesEqualFromScratchRebuild) {
+  // Keys whose RunningKey order differs from their snapshot-key order
+  // ("game|country|region|city"), so emission order is really exercised.
+  const std::vector<RunningKey> keys = {
+      {{"", "", "Poland"}, "Dota 2"},
+      {{"", "", "Poland"}, "League of Legends"},
+      {{"", "Illinois", "United States"}, "Dota 2"},
+      {{"Chicago", "Illinois", "United States"}, "Apex Legends"},
+      {{"", "", "Germany"}, "League of Legends"},
+      {{"", "Bavaria", "Germany"}, "Dota 2"},
+      {{"", "", "Brazil"}, "Apex Legends"},
+      {{"", "", "Australia"}, "Dota 2"},
+      {{"Paris", "", "France"}, "League of Legends"},
+      {{"", "", "Japan"}, "Valorant"},
+  };
+  struct Reference {
+    std::unique_ptr<WindowAggregate> agg;
+    std::set<std::string> streamers;
+  };
+  std::map<RunningKey, Reference> reference;
+  auto live = std::make_unique<LiveView>(0.01);
+  util::Rng rng(20240613);
+  for (int batch = 0; batch < 60; ++batch) {
+    const auto merges = rng.uniform_int(0, 8);
+    for (std::int64_t m = 0; m < merges; ++m) {
+      const RunningKey& key =
+          keys[static_cast<std::size_t>(rng.uniform_int(0, keys.size() - 1))];
+      WindowAggregate window(0.01);
+      std::set<std::string> streamers;
+      const auto points = rng.uniform_int(1, 40);
+      for (std::int64_t p = 0; p < points; ++p) {
+        window.add(rng.uniform(5.0, 250.0));
+        streamers.insert("s" + std::to_string(rng.uniform_int(0, 30)));
+      }
+      live->merge(key, window, streamers);
+      Reference& ref = reference[key];
+      if (ref.agg == nullptr) ref.agg = std::make_unique<WindowAggregate>(0.01);
+      ref.agg->merge(window);
+      ref.streamers.insert(streamers.begin(), streamers.end());
+    }
+    if (batch == 30) {
+      // Checkpoint and resume: a view restored from the saved running state
+      // must carry on exactly like the original.
+      auto restored = std::make_unique<LiveView>(0.01);
+      for (const auto& [key, running] : live->running()) {
+        auto agg = std::make_unique<WindowAggregate>(0.01);
+        agg->restore(running.agg->count(), running.agg->mean(),
+                     running.agg->m2(), running.agg->sketch().export_buckets(),
+                     running.agg->sketch().underflow());
+        restored->restore(key, std::move(agg), running.streamers);
+      }
+      live = std::move(restored);
+    }
+
+    std::vector<serve::SnapshotEntry> expected;
+    for (const auto& [key, ref] : reference) {
+      expected.push_back(rebuilt_entry(key, *ref.agg, ref.streamers));
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const auto& a, const auto& b) { return a.key < b.key; });
+    const auto entries = live->entries();
+    ASSERT_EQ(entries.size(), expected.size()) << "batch " << batch;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(entries[i].key, expected[i].key) << "batch " << batch;
+    }
+    EXPECT_EQ(snapshot_bytes(1, entries), snapshot_bytes(1, expected))
+        << "batch " << batch;
+  }
+  EXPECT_EQ(live->running().size(), keys.size());
 }
 
 void expect_same_funnel(const core::Funnel& a, const core::Funnel& b) {

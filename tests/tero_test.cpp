@@ -8,6 +8,7 @@
 #include "tero/export.hpp"
 #include "tero/pipeline.hpp"
 #include "tero/realtime.hpp"
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -704,6 +705,39 @@ TEST(Determinism, PipelineOutputIsBitIdenticalAcrossThreadCounts) {
   ASSERT_FALSE(serial.entries.empty());
   expect_same_dataset(serial, two);
   expect_same_dataset(serial, eight);
+}
+
+// Geoparsing on the pool writes per-streamer slots and folds the located
+// count serially, so the location module's output is independent of the
+// pool, including the re-geoparsed post-relocation locations.
+TEST(Determinism, LocateStreamersIsIdenticalOnAnyPool) {
+  synth::WorldConfig world_config;
+  world_config.seed = 31;
+  world_config.games = {"League of Legends"};
+  world_config.focus_locations = {geo::Location{"", "", "Germany"},
+                                  geo::Location{"", "Illinois",
+                                                "United States"}};
+  world_config.streamers_per_focus = 40;
+  world_config.p_twitter = 0.7;
+  world_config.p_move = 0.3;
+  const synth::World world(world_config);
+
+  const LocatedWorld serial = locate_streamers(world);
+  ASSERT_GT(serial.streamers_located, 0u);
+  ASSERT_LT(serial.streamers_located, world.streamers().size());
+  const auto relocated = std::count_if(
+      serial.located_after.begin(), serial.located_after.end(),
+      [](const auto& loc) { return loc.has_value(); });
+  ASSERT_GT(relocated, 0);
+  for (const std::size_t threads : {2u, 8u}) {
+    util::ThreadPool pool(threads);
+    const LocatedWorld parallel = locate_streamers(world, &pool);
+    EXPECT_EQ(parallel.located, serial.located) << threads;
+    EXPECT_EQ(parallel.sources, serial.sources) << threads;
+    EXPECT_EQ(parallel.located_after, serial.located_after) << threads;
+    EXPECT_EQ(parallel.streamers_located, serial.streamers_located)
+        << threads;
+  }
 }
 
 // The observability sinks are observational only (DESIGN.md §8): attaching a
