@@ -1,7 +1,7 @@
 // Serving-layer benchmark (DESIGN.md §9): throughput scaling of the sharded
-// QueryService with shard/thread count, cache effectiveness, and the
-// admission-control overload story. Writes BENCH_serve.json (parse-checked
-// by scripts/ci.sh bench-smoke via bench_json_check).
+// QueryService with shard/thread count and the admission-control overload
+// story. Writes BENCH_serve.json; scripts/ci.sh bench-smoke parse-checks it
+// with bench_json_check and requires one checksum on every closed_loop row.
 //
 //   bench_serve [--tiny]
 //
@@ -33,7 +33,6 @@ struct ClosedLoopRow {
   std::size_t shards = 0;
   std::size_t threads = 0;
   serve::LoadTestReport report;
-  double hit_rate = 0.0;
 };
 
 std::vector<serve::SnapshotEntry> build_entries(bool tiny) {
@@ -73,11 +72,6 @@ ClosedLoopRow run_closed(const std::vector<serve::SnapshotEntry>& entries,
   row.threads = threads;
   row.report =
       serve::run_loadtest(service, load, threads > 1 ? &pool : nullptr);
-  const double lookups =
-      static_cast<double>(service.cache_hits() + service.cache_misses());
-  if (lookups > 0) {
-    row.hit_rate = static_cast<double>(service.cache_hits()) / lookups;
-  }
   return row;
 }
 
@@ -99,7 +93,7 @@ int main(int argc, char** argv) {
   // ---- closed loop: throughput vs shards and threads -----------------------
   bench::header("serve: closed-loop throughput (no metrics attached)");
   std::vector<ClosedLoopRow> rows;
-  util::Table table({"shards", "threads", "kqps", "hit rate", "checksum"});
+  util::Table table({"shards", "threads", "kqps", "checksum"});
   const std::vector<std::size_t> shard_counts = tiny
                                                     ? std::vector<std::size_t>{1, 4}
                                                     : std::vector<std::size_t>{1, 2, 4, 8};
@@ -118,7 +112,6 @@ int main(int argc, char** argv) {
                                      /*with_metrics=*/false);
       table.add_row({std::to_string(shards), std::to_string(threads),
                      util::fmt_double(row.report.achieved_qps / 1e3, 1),
-                     util::fmt_percent(row.hit_rate, 1),
                      serve::hex64(row.report.checksum)});
       rows.push_back(std::move(row));
     }
@@ -252,8 +245,7 @@ int main(int argc, char** argv) {
     out << "    {\"shards\": " << row.shards
         << ", \"threads\": " << row.threads
         << ", \"queries\": " << row.report.issued
-        << ", \"qps\": " << row.report.achieved_qps
-        << ", \"hit_rate\": " << row.hit_rate << ", \"checksum\": \""
+        << ", \"qps\": " << row.report.achieved_qps << ", \"checksum\": \""
         << std::hex << row.report.checksum << std::dec << "\"}"
         << (i + 1 < rows.size() ? ",\n" : "\n");
   }

@@ -868,9 +868,7 @@ int cmd_loadtest(int argc, char** argv) {
             << " (counts and checksum identical for any thread count)\n";
   serve::print_tally(std::cout, report);
   std::cout << "  wall " << util::fmt_double(report.wall_ms, 1) << " ms, "
-            << util::fmt_double(report.achieved_qps / 1e3, 1) << " kqps, "
-            << "cache hits " << service.cache_hits() << " / misses "
-            << service.cache_misses() << "\n";
+            << util::fmt_double(report.achieved_qps / 1e3, 1) << " kqps\n";
   std::cout << "  service latency p50/p95/p99: "
             << util::fmt_double(report.p50_ms * 1e3, 1) << " / "
             << util::fmt_double(report.p95_ms * 1e3, 1) << " / "

@@ -134,6 +134,30 @@ run_bench_smoke() {
            if (bad) exit 1
            print "bench-smoke: stream matches batch in all " rows " runs"
          }' BENCH_stream.json
+    # Shard/thread layout cannot change answers: BENCH_serve.json must have
+    # at least two closed_loop[] rows, all carrying one checksum.
+    awk '/"closed_loop": \[/ { in_rows = 1; next }
+         in_rows && /^ *\]/ { in_rows = 0 }
+         in_rows && /"shards"/ {
+           rows++
+           split($0, a, "\"checksum\": \"")
+           split(a[2], b, "\"")
+           if (rows == 1) first = b[1]
+           if (b[1] == "" || b[1] != first) {
+             print "bench-smoke: serve closed_loop checksums disagree: " $0
+             bad = 1
+           }
+         }
+         END {
+           if (rows < 2) {
+             print "bench-smoke: BENCH_serve.json has " rows + 0 \
+                   " closed_loop[] rows, want >= 2"
+             exit 1
+           }
+           if (bad) exit 1
+           print "bench-smoke: serve checksum " first " in all " rows \
+                 " closed_loop rows"
+         }' BENCH_serve.json
   )
 }
 

@@ -108,7 +108,6 @@ SweepReport run_control_sweep(std::vector<serve::SnapshotEntry> entries,
   // --- Serving plane: the service under control, at max provisioning. ---
   serve::ServeConfig serve_config;
   serve_config.shards = ctl.max_shards;
-  serve_config.cache_capacity = 4096;
   serve_config.metrics = &registry;
   serve::QueryService service(serve_config);
   service.set_admission_rate(0.0, controller.admission_rate(),

@@ -40,7 +40,7 @@ namespace {
 
 /// Coarse percentile palette (kCoarsePercentile and above): every percentile
 /// request snaps to the nearest of these, collapsing the seven-value
-/// dashboard palette into three cache keys.
+/// dashboard palette into three answers per entry.
 constexpr double kCoarsePercentiles[] = {50.0, 90.0, 99.0};
 
 double snap_percentile(double param) {
@@ -62,9 +62,9 @@ BrownoutAction apply_brownout(const Query& query, BrownoutLevel level) {
   action.cost = query_kind_cost(query.kind);
   if (level == BrownoutLevel::kFull) return action;
 
-  // kCachedOnly and above: the kinds that cannot amortize across callers go
-  // first. ECDF params are per-caller continuous values (cache-hostile) and
-  // range kinds scan history.
+  // kCachedOnly and above: the kinds with the highest modeled cost go
+  // first. ECDF params are per-caller continuous values and range kinds scan
+  // history.
   const bool expensive = query.kind == QueryKind::kEcdf ||
                          is_range_kind(query.kind);
   if (expensive) {
@@ -81,7 +81,7 @@ BrownoutAction apply_brownout(const Query& query, BrownoutLevel level) {
     }
     if (query.kind == QueryKind::kPercentile) {
       action.query.param = snap_percentile(query.param);
-      action.cost = 0.5;  // three shared cache keys soak nearly every miss
+      action.cost = 0.5;  // modeled: three shared answers per entry
     } else {
       action.cost = std::min(action.cost, 0.5);
     }

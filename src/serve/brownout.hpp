@@ -14,18 +14,19 @@ namespace tero::serve {
 /// keeps answering cheap questions while it is saturated.
 ///
 /// Determinism contract: what a level does to a query is a pure function of
-/// (query kind, level) — never of cache contents, shard health, or thread
-/// timing — so a sweep that replays the same (seed, level schedule) produces
+/// (query kind, level) — never of shard health or thread timing — so a sweep that replays the same (seed, level schedule) produces
 /// bit-identical outcomes at any thread count.
 enum class BrownoutLevel : std::uint8_t {
   /// Normal operation: every kind served at full fidelity.
   kFull = 0,
-  /// Cheap-kinds-only: refuse the kinds that cannot amortize across callers
-  /// (ECDF point evaluations, range scans over history). Point percentiles,
-  /// means, counts and top-k — the dashboard staples — still serve.
+  /// Cheap-kinds-only: refuse the kinds with the highest modeled cost (ECDF
+  /// point evaluations, range scans over history). Point percentiles,
+  /// means, counts and top-k — the dashboard staples — still serve. The
+  /// name predates the removal of the point-answer cache and stays because
+  /// decision logs carry it.
   kCachedOnly = 1,
-  /// Also snap percentile params to the coarse palette {50, 90, 99} (one
-  /// cache entry per entry key instead of seven) and refuse top-k scans.
+  /// Also snap percentile params to the coarse palette {50, 90, 99} and
+  /// refuse top-k scans.
   kCoarsePercentile = 2,
   /// Also prefer the previous epoch: answers carry STALE{age} markers and
   /// skip the fresh-epoch compute entirely. The staleness budget is wide

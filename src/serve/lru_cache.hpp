@@ -11,15 +11,13 @@
 namespace tero::serve {
 
 /// Bounded LRU map from a canonical query string to a precomputed response,
-/// used per shard in front of the snapshot index. NOT thread-safe on its
-/// own — each QueryService shard guards its cache with the shard mutex, so
-/// there is exactly one lock per cache access and no lock is shared across
-/// shards.
+/// used per QueryService shard for range answers only. NOT thread-safe on
+/// its own — each shard guards its cache with the shard mutex, so there is
+/// exactly one lock per cache access and no lock is shared across shards.
 ///
-/// Entries are implicitly scoped to one snapshot epoch: the service clears
-/// every shard cache at publish time, so a cached value can never outlive
-/// the snapshot it was computed from (tested in serve_test
-/// CacheInvalidatedOnPublish).
+/// Nothing is ever invalidated: the service folds the tsdb version into
+/// every key, so a mutation of the store mints new keys and the old entries
+/// age out (tested in serve_test RangeCacheInvalidatesWhenStoreAdvances).
 template <typename Value>
 class LruCache {
  public:
@@ -54,21 +52,6 @@ class LruCache {
     }
     order_.emplace_front(key, std::move(value));
     index_[key] = order_.begin();
-  }
-
-  void clear() {
-    order_.clear();
-    index_.clear();
-  }
-
-  /// Zero the hit/miss/eviction stats. The service calls this at publish
-  /// time after folding the per-epoch values into the shard's lifetime
-  /// totals, so each epoch's hit-rate accounting starts fresh while the
-  /// service-level cumulative counts never regress.
-  void reset_stats() noexcept {
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }

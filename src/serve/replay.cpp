@@ -56,8 +56,8 @@ std::vector<Query> generate_queries(const Snapshot& snapshot,
     const double u = rng.uniform();
     if (u < config.p_percentile) {
       query.kind = QueryKind::kPercentile;
-      // A small palette of round percentiles keeps the cache effective the
-      // way real dashboards do (everyone asks for p50/p95/p99).
+      // A small palette of round percentiles, the way real dashboards ask
+      // (everyone wants p50/p95/p99); every replay checksum depends on it.
       static constexpr double kPercentiles[] = {5, 25, 50, 75, 90, 95, 99};
       query.param = kPercentiles[rng.uniform_int(0, 6)];
     } else if (u < config.p_percentile + (1.0 - config.p_percentile) / 3.0) {

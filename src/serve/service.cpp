@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -152,17 +153,6 @@ QueryService::QueryService(ServeConfig config)
   }
 }
 
-void QueryService::invalidate_caches() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->folded_hits += shard->cache.hits();
-    shard->folded_misses += shard->cache.misses();
-    shard->folded_evictions += shard->cache.evictions();
-    shard->cache.reset_stats();
-    shard->cache.clear();
-  }
-}
-
 std::uint64_t QueryService::publish(std::vector<SnapshotEntry> entries) {
   const obs::ScopedSpan span(config_.trace, "serve.publish", "serve");
   return install([&] { return publisher_.publish(std::move(entries)); });
@@ -188,7 +178,6 @@ std::uint64_t QueryService::install(
   }
   const std::uint64_t epoch = swap();
   publishes_.fetch_add(1, std::memory_order_relaxed);
-  invalidate_caches();
   if (publishes_counter_ != nullptr) {
     publishes_counter_->add();
     epoch_gauge_->set(static_cast<double>(epoch));
@@ -198,58 +187,49 @@ std::uint64_t QueryService::install(
 
 std::string QueryService::shard_key(const Query& query) {
   // All queries about one {location, game} entry land on one shard, so its
-  // cache lines and LRU entries stay local; top-k is keyed by game alone.
+  // range answers stay in one LRU; top-k is keyed by game alone.
   if (query.kind == QueryKind::kTopK) return "topk|" + query.game;
   return entry_key(query.location, query.game);
 }
 
-std::string QueryService::cache_key(const Query& query) const {
+std::string QueryService::cache_key(const Query& query,
+                                    const std::string& shard_key) const {
   std::string key;
   switch (query.kind) {
-    case QueryKind::kPercentile: key = "pct:"; break;
-    case QueryKind::kMean: key = "mean:"; break;
-    case QueryKind::kCount: key = "count:"; break;
-    case QueryKind::kEcdf: key = "ecdf:"; break;
-    case QueryKind::kTopK: key = "topk:"; break;
     case QueryKind::kRangeCount: key = "rcount:"; break;
     case QueryKind::kRangeMean: key = "rmean:"; break;
     case QueryKind::kRangePercentile: key = "rpct:"; break;
-    case QueryKind::kRangeDrift: key = "rdrift:"; break;
+    default: key = "rdrift:"; break;
   }
-  if (query.kind == QueryKind::kPercentile ||
-      query.kind == QueryKind::kEcdf ||
-      query.kind == QueryKind::kRangePercentile ||
+  if (query.kind == QueryKind::kRangePercentile ||
       query.kind == QueryKind::kRangeDrift) {
     key += fmt_param(query.param);
     key += ':';
   }
-  if (query.kind == QueryKind::kTopK) {
-    key += std::to_string(query.k);
-    key += ':';
-  }
-  if (is_range_kind(query.kind)) {
-    // The store version pins the cached answer to the exact data it
-    // summarized: any append/seal/compact/retention mints new keys and the
-    // stale entries age out of the LRU.
-    key += std::to_string(query.t0_ms);
-    key += ':';
-    key += std::to_string(query.t1_ms);
-    key += ':';
-    key += std::to_string(query.window_ms);
-    key += ":v";
-    key += std::to_string(config_.tsdb != nullptr ? config_.tsdb->version()
-                                                  : 0);
-    key += ':';
-  }
-  key += shard_key(query);
+  // The store version pins the cached answer to the exact data it
+  // summarized: any append/seal/compact/retention mints new keys and the
+  // stale entries age out of the LRU.
+  key += std::to_string(query.t0_ms);
+  key += ':';
+  key += std::to_string(query.t1_ms);
+  key += ':';
+  key += std::to_string(query.window_ms);
+  key += ":v";
+  key += std::to_string(config_.tsdb != nullptr ? config_.tsdb->version() : 0);
+  key += ':';
+  key += shard_key;
   return key;
 }
 
-std::size_t QueryService::shard_for(const Query& query) const {
-  const std::string node = ring_.node_for(shard_key(query));
+std::size_t QueryService::shard_index(const std::string& shard_key) const {
+  const std::string node = ring_.node_for(shard_key);
   // Node names are "shard-<i>"; the ring never returns anything else here.
   return static_cast<std::size_t>(
       std::strtoul(node.c_str() + 6, nullptr, 10));
+}
+
+std::size_t QueryService::shard_for(const Query& query) const {
+  return shard_index(shard_key(query));
 }
 
 double QueryService::wall_now_s() const {
@@ -350,10 +330,32 @@ QueryResponse QueryService::answer_range(const Query& query) const {
   return response;
 }
 
-QueryResponse QueryService::compute(const Query& query,
-                                    const Snapshot* snapshot) const {
-  if (is_range_kind(query.kind)) return answer_range(query);
-  return answer(query, *snapshot);
+QueryResponse QueryService::cached_range(const Query& query,
+                                         const std::string& shard_key,
+                                         Shard& shard) {
+  const std::string key = cache_key(query, shard_key);
+  std::optional<QueryResponse> cached;
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    cached = shard.cache.get(key);
+  }
+  if (cached.has_value()) {
+    // The key pins the tsdb version, so the series is current; only the
+    // epoch stamp moves on, as it would for a fresh answer.
+    cached->cached = true;
+    cached->epoch = publisher_.epoch();
+    if (hits_counter_ != nullptr) hits_counter_->add();
+    if (shard.hits_counter != nullptr) shard.hits_counter->add();
+    return std::move(*cached);
+  }
+  QueryResponse response = answer_range(query);
+  if (misses_counter_ != nullptr) misses_counter_->add();
+  if (shard.misses_counter != nullptr) shard.misses_counter->add();
+  // A failed read is transient; only answers pinned by the key are kept.
+  if (response.status == QueryStatus::kUnavailable) return response;
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  shard.cache.put(key, response);
+  return response;
 }
 
 bool QueryService::try_admit(double now_s) {
@@ -399,7 +401,7 @@ QueryResponse QueryService::query(const Query& query, double now_s) {
     response.status = QueryStatus::kShed;
     return response;
   }
-  return query_admitted(query);
+  return query_admitted(query, now_s);
 }
 
 QueryResponse QueryService::degraded(const Query& query,
@@ -419,7 +421,7 @@ QueryResponse QueryService::degraded(const Query& query,
     return response;
   }
   if (degraded_counter_ != nullptr) degraded_counter_->add();
-  QueryResponse response = compute(query, last_good.get());
+  QueryResponse response = answer(query, *last_good);
   response.stale = true;
   response.stale_age = current_epoch - last_good->epoch();
   return response;
@@ -475,8 +477,8 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
     if (has_previous) return degraded(effective, epoch);
   }
 
-  const std::size_t shard_index = shard_for(effective);
-  Shard& shard = *shards_[shard_index];
+  const std::string key = shard_key(effective);
+  Shard& shard = *shards_[shard_index(key)];
 
   if (shard.fault_point != nullptr) {
     const double now = now_s >= 0.0 ? now_s : wall_now_s();
@@ -499,33 +501,14 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
     shard.depth_gauge->set(static_cast<double>(depth));
   }
 
-  const std::string key = cache_key(effective);
-  QueryResponse response;
-  bool from_cache = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto cached = shard.cache.get(key); cached.has_value()) {
-      response = std::move(*cached);
-      from_cache = true;
-    }
-  }
-  if (from_cache) {
-    // A publish may have cleared the caches after we loaded the snapshot;
-    // either way the cached value was computed from *some* published epoch
-    // and epochs are immutable, so it is never stale within its epoch.
-    response.cached = true;
-    if (hits_counter_ != nullptr) hits_counter_->add();
-    if (shard.hits_counter != nullptr) shard.hits_counter->add();
-  } else {
-    response = compute(effective, snapshot.get());
-    if (misses_counter_ != nullptr) misses_counter_->add();
-    if (shard.misses_counter != nullptr) shard.misses_counter->add();
-    if (response.status == QueryStatus::kNotFound &&
-        not_found_counter_ != nullptr) {
-      not_found_counter_->add();
-    }
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.cache.put(key, response);
+  // Snapshot kinds read immutable, pre-sorted values in O(1) or O(log n):
+  // no shard lock, no cache key.
+  QueryResponse response = is_range_kind(effective.kind)
+                               ? cached_range(effective, key, shard)
+                               : answer(effective, *snapshot);
+  if (response.status == QueryStatus::kNotFound &&
+      not_found_counter_ != nullptr) {
+    not_found_counter_->add();
   }
 
   shard.inflight.fetch_sub(1, std::memory_order_relaxed);
@@ -536,7 +519,7 @@ std::uint64_t QueryService::cache_hits() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->folded_hits + shard->cache.hits();
+    total += shard->cache.hits();
   }
   return total;
 }
@@ -545,7 +528,7 @@ std::uint64_t QueryService::cache_misses() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->folded_misses + shard->cache.misses();
+    total += shard->cache.misses();
   }
   return total;
 }

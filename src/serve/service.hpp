@@ -33,10 +33,11 @@ class Histogram;
 
 namespace tero::serve {
 
-/// What a consumer can ask the serving layer (DESIGN.md §9). All kinds are
-/// pure functions of (query, snapshot), which is the determinism anchor for
-/// the load generator: the same query against the same epoch always returns
-/// the same bits, no matter which shard, thread, or cache served it.
+/// What a consumer can ask the serving layer (DESIGN.md §9). Snapshot kinds
+/// are pure functions of (query, snapshot) and range kinds of (query, store
+/// version) — the determinism anchor for the load generator: the same query
+/// against the same data always returns the same bits, no matter which
+/// shard or thread served it or whether the range cache did.
 enum class QueryKind {
   kPercentile,  ///< param = percentile in [0, 100]
   kMean,
@@ -151,13 +152,14 @@ struct QueryResponse {
                                    const Snapshot& snapshot);
 
 struct ServeConfig {
-  /// Number of shards; each owns an LRU cache behind its own mutex. Keys
-  /// are placed by store::ConsistentHashRing, so resizing a live fleet
+  /// Number of shards; each owns a range-answer LRU behind its own mutex.
+  /// Keys are placed by store::ConsistentHashRing, so resizing a live fleet
   /// would only remap ~1/n of the keyspace.
   std::size_t shards = 4;
   int ring_virtual_nodes = 64;
-  /// Per-shard response-cache capacity; 0 disables caching.
-  std::size_t cache_capacity = 1024;
+  /// Per-shard capacity of the range-answer cache (range kinds only; a range
+  /// answer holds one RangePoint per window, ~1-2 KB); 0 disables it.
+  std::size_t cache_capacity = 256;
   /// Admission control (token bucket over all shards); <= 0 disables it
   /// and the service never sheds.
   double admission_rate_qps = 0.0;
@@ -172,7 +174,7 @@ struct ServeConfig {
   std::uint64_t exemplar_seed = 0;
   /// Historical store answering the range query kinds (not owned; may be
   /// null, in which case range queries return kUnavailable). Range answers
-  /// are cached in the per-shard LRU under a key that folds the store's
+  /// are the only ones cached: the per-shard LRU keys them by the store's
   /// version counter, so a cached answer never outlives the data.
   tsdb::TimeSeriesStore* tsdb = nullptr;
   /// Optional fault injection (not owned; may be null). Arms one
@@ -187,16 +189,17 @@ struct ServeConfig {
 /// Sharded in-process query service over published snapshots.
 ///
 /// Read path: admission -> atomic snapshot load -> shard (consistent hash
-/// of the entry key) -> shard LRU cache -> snapshot index. Publish path:
-/// build entries off to the side, one atomic swap, then invalidate the
-/// shard caches. Readers never block on a publish: a query that raced the
-/// swap simply finishes against the epoch it loaded.
+/// of the entry key) -> answer. Point and top-k kinds are answered straight
+/// from the snapshot's pre-sorted values without touching shard state; only
+/// range kinds go through the shard's LRU, keyed by the tsdb version.
+/// Publish path: build entries off to the side and swap them in atomically;
+/// no shard state is touched. Readers never block on a publish: a query
+/// that raced the swap simply finishes against the epoch it loaded.
 class QueryService {
  public:
   explicit QueryService(ServeConfig config);
 
-  /// Install a new snapshot and invalidate every shard cache. Returns the
-  /// published epoch.
+  /// Install a new snapshot. Returns the published epoch.
   std::uint64_t publish(std::vector<SnapshotEntry> entries);
   void publish(SnapshotPtr snapshot);
 
@@ -248,7 +251,8 @@ class QueryService {
     return shards_.size();
   }
 
-  // Aggregate cache/admission accounting across shards (tests, reports).
+  // Aggregate range-cache/admission accounting across shards (tests,
+  // reports).
   [[nodiscard]] std::uint64_t cache_hits() const;
   [[nodiscard]] std::uint64_t cache_misses() const;
   [[nodiscard]] std::uint64_t shed_count() const;
@@ -267,16 +271,10 @@ class QueryService {
  private:
   struct Shard {
     mutable std::mutex mutex;
-    LruCache<QueryResponse> cache;
+    LruCache<QueryResponse> cache;  ///< range answers only (guarded by mutex)
     /// Queries currently inside this shard (admitted, not yet answered) —
     /// exported as the per-shard queue-depth gauge.
     std::atomic<std::uint64_t> inflight{0};
-    /// Cache stats folded in from epochs the publish path already cleared
-    /// (guarded by `mutex`): cache.hits()/misses() only cover the current
-    /// epoch, lifetime totals are folded + current.
-    std::uint64_t folded_hits = 0;
-    std::uint64_t folded_misses = 0;
-    std::uint64_t folded_evictions = 0;
     /// Per-shard labeled series (null when metrics are off):
     /// tero.serve.cache_hits{shard=shard-i}, the matching misses, and the
     /// tero.serve.shard_queue_depth{shard=shard-i} gauge.
@@ -293,27 +291,27 @@ class QueryService {
 
   /// The one publish body: retire the current epoch to previous_, run
   /// `swap` (which installs the new snapshot and returns its epoch), then
-  /// invalidate the caches and export the publish metrics.
+  /// export the publish metrics.
   std::uint64_t install(const std::function<std::uint64_t()>& swap);
-  /// Publish-path cache invalidation: folds each shard's per-epoch cache
-  /// stats into its lifetime totals, then clears entries and stats.
-  void invalidate_caches();
 
-  /// `snapshot` may be null only for range kinds, which answer from the
-  /// time-series store instead.
-  [[nodiscard]] QueryResponse compute(const Query& query,
-                                      const Snapshot* snapshot) const;
   /// Range kinds: delegate to config_.tsdb (kUnavailable when absent or
   /// when the tsdb.read fault point fires).
   [[nodiscard]] QueryResponse answer_range(const Query& query) const;
+  /// Range kinds through `shard`'s LRU. A hit carries the current epoch,
+  /// exactly like a fresh answer.
+  [[nodiscard]] QueryResponse cached_range(const Query& query,
+                                           const std::string& shard_key,
+                                           Shard& shard);
   /// Degraded path: answer from the last good snapshot with a STALE{age}
   /// marker, or kUnavailable when there is none. Never cached. Range kinds
   /// have no stale snapshot to fall back on: always kUnavailable.
   [[nodiscard]] QueryResponse degraded(const Query& query,
                                        std::uint64_t current_epoch);
-  /// Non-static: range keys fold the tsdb version counter.
-  [[nodiscard]] std::string cache_key(const Query& query) const;
+  /// Range-kind LRU key; folds the tsdb version counter.
+  [[nodiscard]] std::string cache_key(const Query& query,
+                                      const std::string& shard_key) const;
   [[nodiscard]] static std::string shard_key(const Query& query);
+  [[nodiscard]] std::size_t shard_index(const std::string& shard_key) const;
   [[nodiscard]] double wall_now_s() const;
 
   ServeConfig config_;

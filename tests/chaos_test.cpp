@@ -604,4 +604,33 @@ TEST(ServeChaos, BreakerOpensSkipsFaultPointThenRecovers) {
   EXPECT_FALSE(recovered.stale);
 }
 
+TEST(ServeChaos, QueryRunsBreakerOnTheCallersClock) {
+  const auto entries = sample_entries();
+  ASSERT_FALSE(entries.empty());
+  fault::FaultInjector injector(
+      fault::FaultPlan::parse("serve.shard-0=error@1:max=1"));
+  serve::ServeConfig config = one_shard(&injector);
+  config.breaker.failure_threshold = 1;
+  config.breaker.cooldown_s = 5.0;
+  serve::QueryService service(config);
+  service.publish(entries);
+  service.publish(entries);
+  serve::Query query;
+  query.kind = serve::QueryKind::kCount;
+  query.location = entries[0].location;
+  query.game = entries[0].game;
+
+  // The one fault trips the breaker at virtual time 0.
+  EXPECT_TRUE(service.query(query, 0.0).stale);
+  ASSERT_EQ(service.breaker_state(0), fault::CircuitBreaker::State::kOpen);
+  // Past the cooldown on the same clock, query() lets a half-open probe
+  // through; the drained plan makes it a fresh answer. On wall time the
+  // breaker would still be open and the answer stale.
+  const auto probe = service.query(query, 6.0);
+  EXPECT_EQ(probe.status, serve::QueryStatus::kOk);
+  EXPECT_FALSE(probe.stale);
+  EXPECT_EQ(service.breaker_state(0),
+            fault::CircuitBreaker::State::kHalfOpen);
+}
+
 }  // namespace serve_chaos_tests

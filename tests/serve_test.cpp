@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/epoch.hpp"
@@ -181,9 +182,12 @@ TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.get("c"), 3);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.size(), 2u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
+  cache.put("d", 4);  // a is now LRU and goes; size stays at capacity
   EXPECT_FALSE(cache.get("a").has_value());
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 TEST(LruCacheTest, ZeroCapacityDisables) {
@@ -230,7 +234,7 @@ TEST(QueryServiceTest, StatusesAndEmptyService) {
   EXPECT_EQ(service.query(query).status, QueryStatus::kNotFound);
 }
 
-TEST(QueryServiceTest, CacheHitsAndInvalidationOnPublish) {
+TEST(QueryServiceTest, PointQueriesBypassCacheAcrossPublish) {
   obs::MetricsRegistry registry;
   ServeConfig config;
   config.shards = 2;
@@ -246,15 +250,20 @@ TEST(QueryServiceTest, CacheHitsAndInvalidationOnPublish) {
   const auto first = service.query(query);
   EXPECT_DOUBLE_EQ(first.value, 20.0);
   EXPECT_FALSE(first.cached);
+  // Repeats are answered from the snapshot again, never from the LRU.
   const auto second = service.query(query);
-  EXPECT_TRUE(second.cached);
+  EXPECT_FALSE(second.cached);
   EXPECT_DOUBLE_EQ(second.value, 20.0);
-  EXPECT_EQ(service.cache_hits(), 1u);
-  EXPECT_EQ(registry.counter("tero.serve.cache_hits").value(), 1u);
+  query.kind = QueryKind::kTopK;
+  EXPECT_FALSE(service.query(query).cached);
+  EXPECT_FALSE(service.query(query).cached);
+  query.kind = QueryKind::kMean;
+  EXPECT_EQ(service.cache_hits(), 0u);
+  EXPECT_EQ(service.cache_misses(), 0u);
+  EXPECT_EQ(registry.counter("tero.serve.cache_hits").value(), 0u);
 
-  // New epoch with different data: the caches are cleared, so the next
-  // query recomputes against the new snapshot instead of serving stale
-  // bits.
+  // New epoch with different data: the next query answers from the new
+  // snapshot.
   service.publish({make_entry("DE", "lol", {100, 200, 300})});
   const auto fresh = service.query(query);
   EXPECT_FALSE(fresh.cached);
@@ -721,6 +730,144 @@ TEST(QueryServiceTest, RangeCacheInvalidatesWhenStoreAdvances) {
   response = service.query(query);
   EXPECT_FALSE(response.cached);
   EXPECT_DOUBLE_EQ(response.value, 2.0);
+}
+
+TEST(QueryServiceTest, FailedRangeReadIsNotCached) {
+  fault::FaultInjector injector(
+      fault::FaultPlan::parse("tsdb.read=error@1:max=1"));
+  tsdb::TsdbConfig tsdb_config;
+  tsdb_config.injector = &injector;
+  tsdb::TimeSeriesStore store(tsdb_config);
+  geo::Location de;
+  de.country = "DE";
+  store.append(entry_key(de, "lol"), 1'000, 10.0);
+
+  ServeConfig config;
+  config.tsdb = &store;
+  QueryService service(config);
+  service.publish(three_entries());
+
+  Query query;
+  query.kind = QueryKind::kRangeCount;
+  query.location = de;
+  query.game = "lol";
+  query.t1_ms = 86'400'000;
+  EXPECT_EQ(service.query(query).status, QueryStatus::kUnavailable);
+  // Same key, same store version: the retry reads the store again.
+  const QueryResponse retry = service.query(query);
+  EXPECT_EQ(retry.status, QueryStatus::kOk);
+  EXPECT_FALSE(retry.cached);
+  EXPECT_DOUBLE_EQ(retry.value, 1.0);
+}
+
+TEST(QueryServiceTest, RangeCacheHitSurvivesPublishWithNewEpoch) {
+  tsdb::TimeSeriesStore store{tsdb::TsdbConfig{}};
+  geo::Location de;
+  de.country = "DE";
+  store.append(entry_key(de, "lol"), 1'000, 10.0);
+
+  obs::MetricsRegistry registry;
+  ServeConfig config;
+  config.tsdb = &store;
+  config.metrics = &registry;
+  QueryService service(config);
+  service.publish(three_entries());
+
+  Query query;
+  query.kind = QueryKind::kRangeMean;
+  query.location = de;
+  query.game = "lol";
+  query.t1_ms = 86'400'000;
+  const QueryResponse before = service.query(query);
+  ASSERT_EQ(before.status, QueryStatus::kOk);
+  EXPECT_FALSE(before.cached);
+  EXPECT_EQ(before.epoch, 1u);
+
+  // A publish leaves the range LRU alone: the store did not change, so the
+  // cached series is still the answer, stamped with the new epoch.
+  service.publish(three_entries());
+  const QueryResponse after = service.query(query);
+  EXPECT_TRUE(after.cached);
+  EXPECT_EQ(after.epoch, 2u);
+  EXPECT_EQ(hash_response(0, after), hash_response(0, before));
+  EXPECT_EQ(service.cache_hits(), 1u);
+  EXPECT_EQ(service.cache_misses(), 1u);
+  EXPECT_EQ(registry.counter("tero.serve.cache_hits").value(), 1u);
+}
+
+TEST(QueryServiceTest, DefaultServiceMatchesUncachedService) {
+  constexpr std::int64_t kDayMs = 86'400'000;
+  tsdb::TimeSeriesStore store{tsdb::TsdbConfig{}};
+  const auto entries = three_entries();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    for (int hour = 0; hour < 48; ++hour) {
+      store.append(entries[i].key, hour * 3'600'000,
+                   entries[i].sorted_values[hour % 5]);
+    }
+  }
+
+  ServeConfig cached_config;
+  cached_config.tsdb = &store;
+  ServeConfig uncached_config = cached_config;
+  uncached_config.cache_capacity = 0;
+  QueryService cached(cached_config);
+  QueryService uncached(uncached_config);
+
+  std::vector<Query> queries;
+  for (const auto& entry : entries) {
+    Query query;
+    query.location = entry.location;
+    query.game = entry.game;
+    query.t1_ms = 3 * kDayMs;
+    for (const QueryKind kind :
+         {QueryKind::kPercentile, QueryKind::kMean, QueryKind::kCount,
+          QueryKind::kEcdf, QueryKind::kTopK, QueryKind::kRangeCount,
+          QueryKind::kRangeMean, QueryKind::kRangePercentile,
+          QueryKind::kRangeDrift}) {
+      query.kind = kind;
+      query.param = kind == QueryKind::kEcdf ? 60.0 : 90.0;
+      queries.push_back(query);
+    }
+  }
+  const auto run = [&queries](QueryService& service,
+                              std::vector<std::uint64_t>& hashes,
+                              std::vector<std::uint64_t>& epochs) {
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const QueryResponse response = service.query(queries[i]);
+        hashes.push_back(hash_response(i, response));
+        epochs.push_back(response.epoch);
+      }
+    }
+  };
+
+  std::vector<std::uint64_t> cached_hashes, uncached_hashes;
+  std::vector<std::uint64_t> cached_epochs, uncached_epochs;
+  const auto both = [&] {
+    run(cached, cached_hashes, cached_epochs);
+    run(uncached, uncached_hashes, uncached_epochs);
+  };
+  cached.publish(three_entries());
+  uncached.publish(three_entries());
+  both();
+  // A publish with different values: point answers move, range answers
+  // stay cached but carry the new epoch.
+  std::vector<SnapshotEntry> next = {
+      make_entry("DE", "lol", {31, 33, 35, 37, 39}),
+      make_entry("FR", "lol", {40, 45, 50, 55, 60}),
+      make_entry("BR", "lol", {90, 95, 100, 105, 200})};
+  cached.publish(std::vector<SnapshotEntry>(next));
+  uncached.publish(std::move(next));
+  both();
+  // A tsdb append mints new range keys.
+  store.append(entries[0].key, 60 * 3'600'000, 500.0);
+  both();
+
+  EXPECT_GT(cached.cache_hits(), 0u);
+  EXPECT_EQ(uncached.cache_hits(), 0u);
+  EXPECT_EQ(cached_hashes, uncached_hashes);
+  EXPECT_EQ(cached_epochs, uncached_epochs);
+  EXPECT_EQ(cached_epochs.back(), 2u);
 }
 
 }  // namespace
