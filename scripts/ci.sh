@@ -53,6 +53,11 @@
 #                bench/perf_baseline.txt (>15% throughput drop fails), and
 #                a TERO_SIMD=off full-OCR run that must reproduce the
 #                vectorized run's dataset digest exactly.
+#   perfbench-smoke  Repository benchmark self-test: perfbench/test_perfbench.py
+#                builds perfbench against src/ and runs every workload at
+#                tiny size (metric names, units, output checks, fingerprint
+#                corruption). perfbench is not part of ctest, so this is
+#                where a removed public name it uses first fails.
 #
 # Run the default three:   scripts/ci.sh
 # Run a subset:            scripts/ci.sh asan tsan
@@ -63,6 +68,7 @@
 # Tiered-storage gate:     scripts/ci.sh tsdb-smoke
 # Overload-control gate:   scripts/ci.sh control-smoke
 # Extraction perf gate:    scripts/ci.sh perf-smoke
+# Benchmark self-test:     scripts/ci.sh perfbench-smoke
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -470,6 +476,10 @@ run_perf_smoke() {
   echo "perf-smoke: digest $ref identical with TERO_SIMD=off"
 }
 
+run_perfbench_smoke() {
+  python3 perfbench/test_perfbench.py
+}
+
 for job in "${jobs[@]}"; do
   echo "=== ci: $job ==="
   case "$job" in
@@ -483,9 +493,10 @@ for job in "${jobs[@]}"; do
     tsdb-smoke) run_tsdb_smoke ;;
     control-smoke) run_control_smoke ;;
     perf-smoke) run_perf_smoke ;;
+    perfbench-smoke) run_perfbench_smoke ;;
     *) echo "unknown job: $job (want tier1, asan, tsan, bench-smoke," \
             "chaos-smoke, obs-smoke, cluster-smoke, tsdb-smoke," \
-            "control-smoke or perf-smoke)" >&2
+            "control-smoke, perf-smoke or perfbench-smoke)" >&2
        exit 2 ;;
   esac
 done

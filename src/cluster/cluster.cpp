@@ -14,11 +14,19 @@ namespace {
 /// Seed salts for the cluster's independent deterministic streams.
 constexpr std::uint64_t kReplDelaySalt = 0x7e71;
 constexpr std::uint64_t kFollowerPickSalt = 0xf011;
+/// Virtual nodes per node. Higher than the store default: the ring hash's
+/// final-byte diffusion is weak (same-prefix vnode names cluster), so 256
+/// vnodes are needed to keep per-node shares near 1/n and join/leave
+/// remaps under the documented 2/n bound.
+constexpr int kRingVirtualNodes = 256;
+/// Replication delivery delay range, drawn per (node, epoch) from the seed.
+constexpr double kReplDelayMsMin = 50.0;
+constexpr double kReplDelayMsMax = 450.0;
 }  // namespace
 
 Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   config_.replicas = std::max<std::size_t>(1, config_.replicas);
-  ring_ = store::ConsistentHashRing(config_.ring_virtual_nodes);
+  ring_ = store::ConsistentHashRing(kRingVirtualNodes);
   if (config_.injector != nullptr) {
     repl_point_ = &config_.injector->point("cluster.repl");
   }
@@ -74,9 +82,7 @@ double Cluster::repl_delay_ms(const Node& node, std::uint64_t epoch) const {
   util::Rng rng = util::Rng::indexed(
       util::mix_seed(config_.seed, kReplDelaySalt),
       util::mix_seed(epoch, node.uid));
-  return rng.uniform(config_.repl_delay_ms_min,
-                     std::max(config_.repl_delay_ms_min,
-                              config_.repl_delay_ms_max));
+  return rng.uniform(kReplDelayMsMin, kReplDelayMsMax);
 }
 
 void Cluster::enqueue_delivery(Node& node, serve::SnapshotPtr snapshot,

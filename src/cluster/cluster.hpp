@@ -53,20 +53,12 @@ struct ClusterConfig {
   /// Owners per key: the leader plus replicas-1 followers, taken clockwise
   /// from the key's ring position. Clamped to the live node count.
   std::size_t replicas = 2;
-  /// Virtual nodes per node. Higher than the store default: the ring hash's
-  /// final-byte diffusion is weak (same-prefix vnode names cluster), so 256
-  /// vnodes are needed to keep per-node shares near 1/n and join/leave
-  /// remaps under the documented 2/n bound.
-  int ring_virtual_nodes = 256;
   /// Bounded staleness: the maximum number of epochs a served answer may
   /// lag the current one. A node that cannot serve within the budget
   /// refuses the read and routing fails over — STALE{age} never exceeds
   /// this, by construction.
   std::uint64_t staleness_budget = 2;
   std::uint64_t seed = 1;
-  /// Replication delivery delay, drawn per (node, epoch) from the seed.
-  double repl_delay_ms_min = 50.0;
-  double repl_delay_ms_max = 450.0;
   /// Observability sinks (not owned; may be null). Exports per-node
   /// breaker state (tero.fault.breaker{endpoint=node-<i>}) and replication
   /// lag (tero.cluster.repl_lag{node=node-<i>}) as labeled gauges.

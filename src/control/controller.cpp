@@ -20,6 +20,11 @@ namespace {
 constexpr double kLevelCost[serve::kBrownoutLevels] = {1.0, 0.9, 0.55, 0.35,
                                                        0.25};
 
+// Predictive extrapolation.
+constexpr std::size_t kSlopeWindow = 8;  ///< offered-rate samples in the fit
+constexpr double kHorizonTicks = 5.0;    ///< look-ahead, in ticks
+constexpr double kUtilUp = 0.9;  ///< predicted utilization => pre-escalate
+
 /// Byte-stable double rendering for the decision log: %.10g is fixed-width
 /// enough to read and — because every logged value is already bit-identical
 /// across thread counts — formats to identical bytes everywhere.
@@ -76,7 +81,7 @@ double Controller::target_rate(serve::BrownoutLevel level,
 
 double Controller::predicted_utilization() const {
   // Least-squares slope of the recent offered-rate samples, extrapolated
-  // horizon_ticks ahead. With fewer than two samples there is no slope and
+  // kHorizonTicks ahead. With fewer than two samples there is no slope and
   // the prediction is just the last observation.
   const std::size_t n = offered_history_.size();
   if (n == 0) return 0.0;
@@ -95,7 +100,7 @@ double Controller::predicted_utilization() const {
     if (denom > 0.0) slope = (count * sum_iy - sum_i * sum_y) / denom;
   }
   const double predicted = std::max(
-      0.0, offered_history_.back() + slope * config_.horizon_ticks);
+      0.0, offered_history_.back() + slope * kHorizonTicks);
   return predicted;  // caller scales by cost / capacity
 }
 
@@ -110,8 +115,7 @@ const Decision& Controller::tick(const Signals& signals) {
 
   if (config_.policy != Policy::kStatic) {
     offered_history_.push_back(signals.offered_qps);
-    if (offered_history_.size() > std::max<std::size_t>(2,
-                                                        config_.slope_window)) {
+    if (offered_history_.size() > kSlopeWindow) {
       offered_history_.erase(offered_history_.begin());
     }
 
@@ -135,7 +139,7 @@ const Decision& Controller::tick(const Signals& signals) {
       const double util = predicted_utilization() *
                           kLevelCost[static_cast<std::size_t>(level_)] /
                           capacity;
-      if (util >= config_.util_up) {
+      if (util >= kUtilUp) {
         hot = true;
         reason = "predict";
       }

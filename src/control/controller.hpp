@@ -77,11 +77,6 @@ struct ControllerConfig {
   double queue_high_s = 0.5; ///< queue delay => hot
   double queue_low_s = 0.05; ///< queue delay below => calm
   std::uint64_t hold_ticks = 5;  ///< calm ticks before one de-escalation
-
-  // Predictive extrapolation.
-  std::size_t slope_window = 8;  ///< offered-rate samples in the fit
-  double horizon_ticks = 5.0;    ///< look-ahead, in ticks
-  double util_up = 0.9;          ///< predicted utilization => pre-escalate
 };
 
 /// One tick's inputs, all derived from virtual-time telemetry.

@@ -330,22 +330,6 @@ std::string MetricsRegistry::labeled(
   return out;
 }
 
-void MetricsRegistry::add_counter(
-    std::string_view name,
-    std::initializer_list<std::pair<std::string_view, std::string_view>>
-        labels,
-    std::uint64_t n) {
-  counter(labeled(name, labels)).add(n);
-}
-
-void MetricsRegistry::set_gauge(
-    std::string_view name,
-    std::initializer_list<std::pair<std::string_view, std::string_view>>
-        labels,
-    double value) {
-  gauge(labeled(name, labels)).set(value);
-}
-
 std::size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return counters_.size() + gauges_.size() + histograms_.size();

@@ -240,21 +240,6 @@ class MetricsRegistry {
       std::initializer_list<std::pair<std::string_view, std::string_view>>
           labels);
 
-  /// Labeled one-shot conveniences: build the labeled name and update the
-  /// metric in a single call. For cold and warm paths (publish events,
-  /// per-shard queue-depth gauges); true hot loops should still resolve the
-  /// metric pointer once and keep it.
-  void add_counter(std::string_view name,
-                   std::initializer_list<
-                       std::pair<std::string_view, std::string_view>>
-                       labels,
-                   std::uint64_t n = 1);
-  void set_gauge(std::string_view name,
-                 std::initializer_list<
-                     std::pair<std::string_view, std::string_view>>
-                     labels,
-                 double value);
-
   /// One JSON object: {"counters": {...}, "gauges": {...},
   /// "histograms": {name: {count, sum, mean, quantiles, buckets}}}.
   void write_json(std::ostream& os) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <cstdlib>
 #include <optional>
 
@@ -10,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "serve/brownout.hpp"
 #include "obs/trace.hpp"
+#include "store/persistence.hpp"
 #include "tero/pipeline.hpp"
 #include "util/rng.hpp"
 
@@ -17,12 +17,8 @@ namespace tero::serve {
 
 namespace {
 
-/// Canonical double formatting for cache keys: round-trippable and stable.
-std::string fmt_param(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
+/// Virtual nodes per shard on the routing ring.
+constexpr int kRingVirtualNodes = 64;
 
 std::uint64_t hash_double(double value) {
   return std::bit_cast<std::uint64_t>(value);
@@ -105,7 +101,7 @@ std::uint64_t hash_response(std::uint64_t index,
 QueryService::QueryService(ServeConfig config)
     : config_(config),
       admission_(config.admission_rate_qps, config.admission_burst),
-      ring_(config.ring_virtual_nodes),
+      ring_(kRingVirtualNodes),
       start_(std::chrono::steady_clock::now()) {
   const std::size_t shard_count = std::max<std::size_t>(1, config_.shards);
   shard_names_.reserve(shard_count);
@@ -203,7 +199,7 @@ std::string QueryService::cache_key(const Query& query,
   }
   if (query.kind == QueryKind::kRangePercentile ||
       query.kind == QueryKind::kRangeDrift) {
-    key += fmt_param(query.param);
+    key += store::format_double(query.param);
     key += ':';
   }
   // The store version pins the cached answer to the exact data it

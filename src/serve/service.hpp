@@ -156,7 +156,6 @@ struct ServeConfig {
   /// Keys are placed by store::ConsistentHashRing, so resizing a live fleet
   /// would only remap ~1/n of the keyspace.
   std::size_t shards = 4;
-  int ring_virtual_nodes = 64;
   /// Per-shard capacity of the range-answer cache (range kinds only; a range
   /// answer holds one RangePoint per window, ~1-2 KB); 0 disables it.
   std::size_t cache_capacity = 256;

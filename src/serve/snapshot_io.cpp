@@ -1,6 +1,5 @@
 #include "serve/snapshot_io.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -12,60 +11,41 @@
 namespace tero::serve {
 namespace {
 
-// One KV value per entry: scalar fields joined by the unit separator
-// (gazetteer names never contain control characters), distribution values
-// space-separated inside the final field.
-constexpr char kSep = '\x1f';
+using store::format_double;
+using store::kFieldSep;
+using store::split_fields;
 
-std::string fmt(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
+// One KV value per entry: scalar fields joined by kFieldSep, distribution
+// values space-separated inside the final field.
 std::string encode_entry(const SnapshotEntry& entry) {
   std::string out;
   const auto field = [&out](const std::string& value) {
     out += value;
-    out += kSep;
+    out += kFieldSep;
   };
   field(entry.location.city);
   field(entry.location.region);
   field(entry.location.country);
   field(entry.game);
   field(std::to_string(entry.streamers));
-  field(fmt(entry.mean_ms));
-  field(fmt(entry.box.p5));
-  field(fmt(entry.box.p25));
-  field(fmt(entry.box.p50));
-  field(fmt(entry.box.p75));
-  field(fmt(entry.box.p95));
+  field(format_double(entry.mean_ms));
+  field(format_double(entry.box.p5));
+  field(format_double(entry.box.p25));
+  field(format_double(entry.box.p50));
+  field(format_double(entry.box.p75));
+  field(format_double(entry.box.p95));
   field(entry.anomaly_flagged ? "1" : "0");
   field(std::to_string(entry.shared_anomalies));
   field(entry.server_city);
-  field(fmt(entry.avg_corrected_distance_km));
+  field(format_double(entry.avg_corrected_distance_km));
   // Final field: the sorted sample set.
   std::string values;
   for (std::size_t i = 0; i < entry.sorted_values.size(); ++i) {
     if (i > 0) values += ' ';
-    values += fmt(entry.sorted_values[i]);
+    values += format_double(entry.sorted_values[i]);
   }
   out += values;
   return out;
-}
-
-std::vector<std::string> split_fields(const std::string& record) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t sep = record.find(kSep, start);
-    if (sep == std::string::npos) {
-      fields.push_back(record.substr(start));
-      return fields;
-    }
-    fields.push_back(record.substr(start, sep - start));
-    start = sep + 1;
-  }
 }
 
 SnapshotEntry decode_entry(const std::string& record) {

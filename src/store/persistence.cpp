@@ -1,5 +1,6 @@
 #include "store/persistence.hpp"
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <istream>
@@ -217,6 +218,26 @@ KvStore load_kv_file(const std::string& path) {
     return restore_kv(payload_is);
   } catch (const std::invalid_argument& error) {
     reject(path, std::string("malformed record: ") + error.what());
+  }
+}
+
+std::string format_double(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
+std::vector<std::string> split_fields(const std::string& record) {
+  std::vector<std::string> fields;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t sep = record.find(kFieldSep, start);
+    if (sep == std::string::npos) {
+      fields.push_back(record.substr(start));
+      return fields;
+    }
+    fields.push_back(record.substr(start, sep - start));
+    start = sep + 1;
   }
 }
 

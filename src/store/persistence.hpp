@@ -2,6 +2,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "store/doc_store.hpp"
 #include "store/kv_store.hpp"
@@ -46,5 +47,18 @@ void snapshot_docs(const DocStore& docs, std::ostream& os);
 void save_kv_file(const KvStore& kv, const std::string& path,
                   fault::FaultInjector* injector = nullptr);
 [[nodiscard]] KvStore load_kv_file(const std::string& path);
+
+// -- text records -------------------------------------------------------------
+//
+// The TEROKV text formats (serve snapshots, stream checkpoints) hold one
+// record per KV value: fields joined by the ASCII unit separator (gazetteer
+// names and game titles never contain control characters).
+inline constexpr char kFieldSep = '\x1f';
+
+/// Round-trip double rendering (`%.17g`): strtod reads back the same bits.
+[[nodiscard]] std::string format_double(double value);
+
+/// Split `record` at every kFieldSep; n separators give n + 1 fields.
+[[nodiscard]] std::vector<std::string> split_fields(const std::string& record);
 
 }  // namespace tero::store

@@ -1,6 +1,5 @@
 #include "stream/checkpoint.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -13,27 +12,9 @@
 namespace tero::stream {
 namespace {
 
-constexpr char kSep = '\x1f';
-
-std::string fmt(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-std::vector<std::string> split_fields(const std::string& record) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t sep = record.find(kSep, start);
-    if (sep == std::string::npos) {
-      fields.push_back(record.substr(start));
-      return fields;
-    }
-    fields.push_back(record.substr(start, sep - start));
-    start = sep + 1;
-  }
-}
+using store::format_double;
+using store::kFieldSep;
+using store::split_fields;
 
 [[noreturn]] void malformed(const std::string& what) {
   throw std::invalid_argument("stream::load_checkpoint: malformed " + what);
@@ -55,7 +36,7 @@ std::string encode_points(const std::vector<analysis::Measurement>& points) {
   std::string out;
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (i > 0) out += ' ';
-    out += fmt(points[i].time_s);
+    out += format_double(points[i].time_s);
     out += ':';
     out += std::to_string(points[i].latency_ms);
     out += ':';
@@ -122,13 +103,13 @@ SketchState decode_sketch(const std::string& buckets,
 /// Aggregate as five fields: count, mean, m2, underflow, buckets.
 void append_aggregate(std::string& out, const AggregateState& agg) {
   out += std::to_string(agg.count);
-  out += kSep;
-  out += fmt(agg.mean);
-  out += kSep;
-  out += fmt(agg.m2);
-  out += kSep;
+  out += kFieldSep;
+  out += format_double(agg.mean);
+  out += kFieldSep;
+  out += format_double(agg.m2);
+  out += kFieldSep;
   out += std::to_string(agg.sketch.underflow);
-  out += kSep;
+  out += kFieldSep;
   out += encode_sketch(agg.sketch);
 }
 
@@ -146,9 +127,9 @@ std::string encode_spikes(const std::vector<analysis::SpikeEvent>& spikes) {
   std::string out;
   for (std::size_t i = 0; i < spikes.size(); ++i) {
     if (i > 0) out += ' ';
-    out += fmt(spikes[i].start_s);
+    out += format_double(spikes[i].start_s);
     out += ':';
-    out += fmt(spikes[i].end_s);
+    out += format_double(spikes[i].end_s);
     out += ':';
     out += std::to_string(spikes[i].peak_latency_ms);
     out += ':';
@@ -191,7 +172,7 @@ std::string encode_clusters(
     out += ':';
     out += std::to_string(clusters[i].max_ms);
     out += ':';
-    out += fmt(clusters[i].weight);
+    out += format_double(clusters[i].weight);
     out += ':';
     out += std::to_string(clusters[i].point_count);
   }
@@ -232,7 +213,7 @@ void save_checkpoint(const CheckpointData& data, std::ostream& os) {
     std::string meta;
     const auto field = [&meta](const std::string& v) {
       meta += v;
-      meta += kSep;
+      meta += kFieldSep;
     };
     field(std::to_string(data.id));
     field(std::to_string(data.cursor));
@@ -240,7 +221,7 @@ void save_checkpoint(const CheckpointData& data, std::ostream& os) {
     field(std::to_string(data.thumbnails));
     field(std::to_string(data.visible));
     field(std::to_string(data.ocr_ok));
-    field(fmt(data.watermark));
+    field(format_double(data.watermark));
     field(std::to_string(data.measurements));
     field(std::to_string(data.late_events));
     field(std::to_string(data.windows_closed));
@@ -257,7 +238,7 @@ void save_checkpoint(const CheckpointData& data, std::ostream& os) {
       first = false;
       open += std::to_string(source);
       open += ':';
-      open += fmt(wm);
+      open += format_double(wm);
     }
     kv.put("open", open);
   }
@@ -266,18 +247,18 @@ void save_checkpoint(const CheckpointData& data, std::ostream& os) {
   for (std::size_t i = 0; i < data.groups.size(); ++i) {
     const auto& group = data.groups[i];
     std::string rec = std::to_string(group.key.streamer_index);
-    rec += kSep;
+    rec += kFieldSep;
     rec += group.key.game;
-    rec += kSep;
+    rec += kFieldSep;
     rec += std::to_string(group.key.epoch);
-    rec += kSep;
+    rec += kFieldSep;
     rec += std::to_string(group.remaining);
-    rec += kSep;
+    rec += kFieldSep;
     rec += std::to_string(group.streams.size());
     kv.put("g" + std::to_string(i), rec);
     for (std::size_t j = 0; j < group.streams.size(); ++j) {
       std::string buf = std::to_string(group.streams[j].stream_index);
-      buf += kSep;
+      buf += kFieldSep;
       buf += encode_points(group.streams[j].points);
       std::string key = "g";
       key += std::to_string(i);
@@ -291,18 +272,18 @@ void save_checkpoint(const CheckpointData& data, std::ostream& os) {
   for (std::size_t i = 0; i < data.windows.size(); ++i) {
     const auto& w = data.windows[i];
     std::string rec = std::to_string(w.window);
-    rec += kSep;
+    rec += kFieldSep;
     rec += w.location.city;
-    rec += kSep;
+    rec += kFieldSep;
     rec += w.location.region;
-    rec += kSep;
+    rec += kFieldSep;
     rec += w.location.country;
-    rec += kSep;
+    rec += kFieldSep;
     rec += w.game;
-    rec += kSep;
+    rec += kFieldSep;
     append_aggregate(rec, w.agg);
     for (const auto& streamer : w.streamers) {
-      rec += kSep;
+      rec += kFieldSep;
       rec += streamer;
     }
     kv.put("w" + std::to_string(i), rec);
@@ -312,16 +293,16 @@ void save_checkpoint(const CheckpointData& data, std::ostream& os) {
   for (std::size_t i = 0; i < data.running.size(); ++i) {
     const auto& r = data.running[i];
     std::string rec = r.location.city;
-    rec += kSep;
+    rec += kFieldSep;
     rec += r.location.region;
-    rec += kSep;
+    rec += kFieldSep;
     rec += r.location.country;
-    rec += kSep;
+    rec += kFieldSep;
     rec += r.game;
-    rec += kSep;
+    rec += kFieldSep;
     append_aggregate(rec, r.agg);
     for (const auto& streamer : r.streamers) {
-      rec += kSep;
+      rec += kFieldSep;
       rec += streamer;
     }
     kv.put("r" + std::to_string(i), rec);
@@ -334,7 +315,7 @@ void save_checkpoint(const CheckpointData& data, std::ostream& os) {
     std::string rec;
     const auto field = [&rec](const std::string& v) {
       rec += v;
-      rec += kSep;
+      rec += kFieldSep;
     };
     field(std::to_string(c.key.streamer_index));
     field(c.key.game);
@@ -362,9 +343,9 @@ void save_checkpoint(const CheckpointData& data, std::ostream& os) {
     for (std::size_t j = 0; j < e.clean.retained.size(); ++j) {
       const auto& stream = e.clean.retained[j];
       std::string buf = stream.streamer;
-      buf += kSep;
+      buf += kFieldSep;
       buf += stream.game;
-      buf += kSep;
+      buf += kFieldSep;
       buf += encode_points(stream.points);
       std::string key = "c";
       key += std::to_string(i);

@@ -36,8 +36,6 @@ struct StreamConfig {
   /// Publish a live snapshot epoch every this many closed windows
   /// (0 = only the final exact snapshot).
   std::size_t publish_every_windows = 4;
-  /// Relative-error parameter of the per-window quantile sketches.
-  double sketch_alpha = 0.01;
 
   /// Write a checkpoint every this many windows' worth of arrival time
   /// (0 = checkpointing off). Requires checkpoint_dir.

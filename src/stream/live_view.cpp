@@ -8,7 +8,7 @@ LiveView::Running& LiveView::slot(const RunningKey& key) {
   const auto [it, inserted] = running_.try_emplace(key);
   Running& running = it->second;
   if (inserted) {
-    running.agg = std::make_unique<WindowAggregate>(sketch_alpha_);
+    running.agg = std::make_unique<WindowAggregate>();
     running.entry.location = key.location;
     running.entry.game = key.game;
     running.entry.key = serve::entry_key(key.location, key.game);

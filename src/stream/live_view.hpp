@@ -36,8 +36,6 @@ class LiveView {
     bool dirty = true;
   };
 
-  explicit LiveView(double sketch_alpha) : sketch_alpha_(sketch_alpha) {}
-
   /// Fold one closed window (and its streamers) into `key`'s running
   /// aggregate, creating it on first use. Marks the entry dirty.
   void merge(const RunningKey& key, const WindowAggregate& window,
@@ -58,7 +56,6 @@ class LiveView {
  private:
   Running& slot(const RunningKey& key);
 
-  double sketch_alpha_;
   std::map<RunningKey, Running> running_;
   std::vector<Running*> by_entry_key_;  ///< sorted by entry.key
 };

@@ -57,9 +57,9 @@ AggregateState export_aggregate(const WindowAggregate& agg) {
   return state;
 }
 
-std::unique_ptr<WindowAggregate> restore_aggregate(const AggregateState& state,
-                                                   double alpha) {
-  auto agg = std::make_unique<WindowAggregate>(alpha);
+std::unique_ptr<WindowAggregate> restore_aggregate(
+    const AggregateState& state) {
+  auto agg = std::make_unique<WindowAggregate>();
   agg->restore(state.count, state.mean, state.m2, state.sketch.buckets,
                state.sketch.underflow);
   return agg;
@@ -356,7 +356,7 @@ StreamResult StreamPipeline::run(const synth::World& world,
   // Runs on the calling thread.
   WatermarkTracker wm;
   std::map<WindowKey, WindowBuf> windows;
-  LiveView live(config_.sketch_alpha);
+  LiveView live;
   std::vector<CollectedEntry> collected;
   std::uint64_t measurements = 0;
   std::uint64_t late_events = 0;
@@ -370,14 +370,14 @@ StreamResult StreamPipeline::run(const synth::World& world,
     wm.restore(restored->watermark, restored->open_sources);
     for (const auto& w : restored->windows) {
       WindowBuf buf;
-      buf.agg = restore_aggregate(w.agg, config_.sketch_alpha);
+      buf.agg = restore_aggregate(w.agg);
       buf.streamers.insert(w.streamers.begin(), w.streamers.end());
       windows.emplace(WindowKey{w.window, {w.location, w.game}},
                       std::move(buf));
     }
     for (const auto& r : restored->running) {
       live.restore(RunningKey{r.location, r.game},
-                   restore_aggregate(r.agg, config_.sketch_alpha),
+                   restore_aggregate(r.agg),
                    {r.streamers.begin(), r.streamers.end()});
     }
     collected = restored->collected;
@@ -491,8 +491,7 @@ StreamResult StreamPipeline::run(const synth::World& world,
                            streams[ev->stream_index].game}};
             WindowBuf& buf = windows[key];
             if (buf.agg == nullptr) {
-              buf.agg =
-                  std::make_unique<WindowAggregate>(config_.sketch_alpha);
+              buf.agg = std::make_unique<WindowAggregate>();
               buf.first_wall = ev->ingest_wall_s;
             }
             buf.agg->add(

@@ -24,6 +24,7 @@ namespace tero::stream {
 /// Not copyable (the sketch owns a mutex); held by unique_ptr in maps.
 class WindowAggregate {
  public:
+  /// `sketch_alpha` is the quantile sketch's relative-error parameter.
   explicit WindowAggregate(double sketch_alpha = 0.01)
       : sketch_(sketch_alpha) {}
 

@@ -20,6 +20,10 @@ namespace fs = std::filesystem;
 namespace tero::tsdb {
 namespace {
 
+/// Head span: advance_to(t) seals everything before the last whole span
+/// boundary at or before t. One virtual day.
+constexpr std::int64_t kHeadSpanMs = 86'400'000;
+
 /// Emulate the torn write an injected crash leaves behind: a header with no
 /// payload, footer, or trailer — load_kv_file/load_segment must reject it
 /// and recovery must clean it up (it is never referenced by the manifest).
@@ -86,9 +90,6 @@ bool sample_before(const Sample& a, const Sample& b) {
 
 TimeSeriesStore::TimeSeriesStore(TsdbConfig config)
     : config_(std::move(config)) {
-  if (config_.head_span_ms <= 0) {
-    throw std::invalid_argument("tsdb: head_span_ms must be positive");
-  }
   if (config_.compact_fanin < 2) {
     throw std::invalid_argument("tsdb: compact_fanin must be at least 2");
   }
@@ -424,8 +425,7 @@ void TimeSeriesStore::retain_locked(std::int64_t frontier) {
 
 void TimeSeriesStore::advance_to(std::int64_t t_ms) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::int64_t boundary =
-      (t_ms / config_.head_span_ms) * config_.head_span_ms;
+  const std::int64_t boundary = (t_ms / kHeadSpanMs) * kHeadSpanMs;
   const std::int64_t sealed_before = sealed_until_;
   if (boundary > sealed_until_) seal_locked(boundary);
   compact_locked();

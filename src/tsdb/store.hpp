@@ -40,9 +40,6 @@ struct TsdbConfig {
   /// Directory for the WAL, manifest, and segment files. Empty = purely
   /// in-memory (no durability, no recovery) — the bench configuration.
   std::string dir;
-  /// Head span: advance_to(t) seals everything before the last whole
-  /// span boundary at or before t. Default one virtual day.
-  std::int64_t head_span_ms = 86'400'000;
   /// Merge this many same-level segments into one at the next level.
   std::size_t compact_fanin = 4;
   /// Drop segments whose max_t falls this far behind the advance frontier.

@@ -259,6 +259,27 @@ TEST(Controller, PredictiveEscalatesOnSlopeAlone) {
   }
 }
 
+TEST(Controller, PredictiveThresholdIsNinetyPercentOfCapacity) {
+  // Flat load has zero slope, so the prediction is the last observation:
+  // the predictive policy pre-escalates exactly when offered load reaches
+  // 90% of capacity (4 shards x 1000 qps at full fidelity).
+  ControllerConfig config;
+  config.policy = Policy::kPredictive;
+  Controller below(config);
+  for (std::uint64_t t = 0; t < 12; ++t) {
+    Signals signals;
+    signals.t_ms = t * 100;
+    signals.offered_qps = 3560.0;
+    EXPECT_EQ(below.tick(signals).action, "hold");
+  }
+  Controller above(config);
+  Signals signals;
+  signals.offered_qps = 3640.0;
+  const Decision& decision = above.tick(signals);
+  EXPECT_EQ(decision.reason, "predict");
+  EXPECT_EQ(decision.action, "ladder-up");
+}
+
 TEST(Controller, CalmHoldUnwindsTheLadder) {
   ControllerConfig config;
   config.policy = Policy::kReactive;

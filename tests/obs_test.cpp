@@ -112,27 +112,6 @@ TEST(Registry, LabeledNamesAreStable) {
   EXPECT_EQ(MetricsRegistry::labeled("tero.y", {}), "tero.y");
 }
 
-TEST(Registry, LabeledConveniencesUpdateNamedSeries) {
-  MetricsRegistry registry;
-  registry.add_counter("tero.serve.requests", {{"shard", "shard-0"}});
-  registry.add_counter("tero.serve.requests", {{"shard", "shard-0"}}, 4);
-  registry.add_counter("tero.serve.requests", {{"shard", "shard-1"}});
-  registry.set_gauge("tero.serve.shard_queue_depth", {{"shard", "shard-0"}},
-                     3.0);
-  registry.set_gauge("tero.serve.shard_queue_depth", {{"shard", "shard-0"}},
-                     1.0);
-  // The conveniences route through the same registry slots the verbose
-  // labeled() + counter()/gauge() spelling would hit.
-  EXPECT_EQ(
-      registry.counter("tero.serve.requests{shard=shard-0}").value(), 5u);
-  EXPECT_EQ(
-      registry.counter("tero.serve.requests{shard=shard-1}").value(), 1u);
-  EXPECT_EQ(
-      registry.gauge("tero.serve.shard_queue_depth{shard=shard-0}").value(),
-      1.0);
-  EXPECT_EQ(registry.size(), 3u);
-}
-
 TEST(Registry, ReturnsStableReferences) {
   MetricsRegistry registry;
   Counter& first = registry.counter("tero.test.events");

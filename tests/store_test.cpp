@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "store/consistent_hash.hpp"
 #include "store/doc_store.hpp"
@@ -436,6 +442,39 @@ TEST(Persistence, FileTruncatedAtLengthPrefixBoundaryRejected) {
 
   EXPECT_THROW(load_kv_file(path), std::runtime_error);
   std::filesystem::remove_all(dir);
+}
+
+TEST(Persistence, SplitFieldsKeepsEmptyFields) {
+  using Fields = std::vector<std::string>;
+  const std::string sep(1, kFieldSep);
+  EXPECT_EQ(split_fields(""), Fields({""}));
+  EXPECT_EQ(split_fields("a"), Fields({"a"}));
+  EXPECT_EQ(split_fields("a" + sep), Fields({"a", ""}));
+  EXPECT_EQ(split_fields(sep + "b"), Fields({"", "b"}));
+  EXPECT_EQ(split_fields("a" + sep + sep + "c"), Fields({"a", "", "c"}));
+  EXPECT_EQ(split_fields("New York, NY" + sep + "US|CA" + sep + "12.5"),
+            Fields({"New York, NY", "US|CA", "12.5"}));
+}
+
+TEST(Persistence, FormatDoubleRoundTripsEveryBit) {
+  using Limits = std::numeric_limits<double>;
+  for (const double value : {0.0, -0.0, 0.1, 1.0 / 3.0, -42.125, 1e300,
+                             Limits::min(), Limits::denorm_min(),
+                             Limits::max(), Limits::epsilon()}) {
+    const std::string text = format_double(value);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(std::strtod(text.c_str(), nullptr)),
+              std::bit_cast<std::uint64_t>(value)) << text;
+  }
+}
+
+TEST(Persistence, FormatDoubleKeepsPrintfG17Text) {
+  // Byte-compatible with snapshot and checkpoint files written by "%.17g".
+  EXPECT_EQ(format_double(0.0), "0");
+  EXPECT_EQ(format_double(1.0), "1");
+  EXPECT_EQ(format_double(-2.5), "-2.5");
+  EXPECT_EQ(format_double(0.1), "0.10000000000000001");
+  EXPECT_EQ(format_double(1e21), "1e+21");
+  EXPECT_EQ(format_double(1.0 / 3.0), "0.33333333333333331");
 }
 
 }  // namespace persistence_tests

@@ -335,7 +335,7 @@ TEST(LiveView, IncrementalEntriesEqualFromScratchRebuild) {
     std::set<std::string> streamers;
   };
   std::map<RunningKey, Reference> reference;
-  auto live = std::make_unique<LiveView>(0.01);
+  auto live = std::make_unique<LiveView>();
   util::Rng rng(20240613);
   for (int batch = 0; batch < 60; ++batch) {
     const auto merges = rng.uniform_int(0, 8);
@@ -358,7 +358,7 @@ TEST(LiveView, IncrementalEntriesEqualFromScratchRebuild) {
     if (batch == 30) {
       // Checkpoint and resume: a view restored from the saved running state
       // must carry on exactly like the original.
-      auto restored = std::make_unique<LiveView>(0.01);
+      auto restored = std::make_unique<LiveView>();
       for (const auto& [key, running] : live->running()) {
         auto agg = std::make_unique<WindowAggregate>(0.01);
         agg->restore(running.agg->count(), running.agg->mean(),
@@ -441,6 +441,75 @@ TEST(StreamPipeline, DelaysAndThrottlingDoNotChangeFinalOutput) {
   expect_same_funnel(result.dataset.funnel, expected.dataset.funnel);
   EXPECT_EQ(snapshot_bytes(1, result.final_entries),
             snapshot_bytes(1, expected.final_entries));
+}
+
+TEST(StreamPipeline, ReportsBatchSpikesAndSharedAnomaliesExactly) {
+  // The outage_monitor scenario (§3.3.2, App. F): one dense region where
+  // region-wide events make concurrent per-streamer spikes.
+  synth::WorldConfig world_config;
+  world_config.seed = 1116;
+  world_config.games = {"Call of Duty Warzone"};
+  world_config.focus_locations = {
+      geo::Location{"", "California", "United States"}};
+  world_config.streamers_per_focus = 60;
+  world_config.p_twitter = 1.0;
+  world_config.p_twitter_backlink = 1.0;
+  world_config.p_twitter_location = 1.0;
+  const synth::World world(world_config);
+  synth::BehaviorConfig behavior;
+  behavior.days = 3;
+  behavior.shared_events_per_region_day = 0.5;
+  behavior.shared_event_magnitude_ms = 45.0;
+  behavior.shared_event_duration_s = 1800.0;
+  synth::SessionGenerator generator(world, behavior, 1117);
+  const auto streams = generator.generate();
+
+  core::TeroConfig batch_config;
+  batch_config.p_latency_visible = 1.0;
+  core::Pipeline batch(batch_config);
+  const core::Dataset expected = batch.run(world, streams);
+  std::size_t anomalies = 0;
+  for (const auto& aggregate : expected.aggregates) {
+    anomalies += aggregate.shared.anomalies.size();
+  }
+  ASSERT_GT(anomalies, 0u) << "scenario must exercise the App. F test";
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    StreamConfig config = base_config(threads);
+    config.tero.p_latency_visible = 1.0;
+    StreamPipeline pipeline(config);
+    const core::Dataset got = pipeline.run(world, streams).dataset;
+
+    ASSERT_EQ(got.entries.size(), expected.entries.size());
+    for (std::size_t i = 0; i < got.entries.size(); ++i) {
+      const auto& spikes = got.entries[i].clean.spikes;
+      const auto& want = expected.entries[i].clean.spikes;
+      ASSERT_EQ(spikes.size(), want.size()) << "entry " << i;
+      for (std::size_t k = 0; k < spikes.size(); ++k) {
+        EXPECT_EQ(spikes[k].start_s, want[k].start_s);
+        EXPECT_EQ(spikes[k].end_s, want[k].end_s);
+        EXPECT_EQ(spikes[k].peak_latency_ms, want[k].peak_latency_ms);
+        EXPECT_EQ(spikes[k].baseline_ms, want[k].baseline_ms);
+      }
+    }
+
+    ASSERT_EQ(got.aggregates.size(), expected.aggregates.size());
+    for (std::size_t a = 0; a < got.aggregates.size(); ++a) {
+      const auto& shared = got.aggregates[a].shared;
+      const auto& want = expected.aggregates[a].shared;
+      EXPECT_EQ(shared.spike_probability, want.spike_probability);
+      EXPECT_EQ(shared.sufficient_data, want.sufficient_data);
+      ASSERT_EQ(shared.anomalies.size(), want.anomalies.size())
+          << "aggregate " << a << " at " << threads << " threads";
+      for (std::size_t k = 0; k < shared.anomalies.size(); ++k) {
+        EXPECT_EQ(shared.anomalies[k].start_s, want.anomalies[k].start_s);
+        EXPECT_EQ(shared.anomalies[k].end_s, want.anomalies[k].end_s);
+        EXPECT_EQ(shared.anomalies[k].streamers, want.anomalies[k].streamers);
+        EXPECT_EQ(shared.anomalies[k].probability,
+                  want.anomalies[k].probability);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- live epochs --

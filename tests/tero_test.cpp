@@ -7,7 +7,6 @@
 #include "obs/trace.hpp"
 #include "tero/export.hpp"
 #include "tero/pipeline.hpp"
-#include "tero/realtime.hpp"
 #include <algorithm>
 #include <set>
 #include <sstream>
@@ -365,98 +364,6 @@ TEST(Export, ImportRejectsGarbage) {
   std::istringstream bad_row(
       "pseudonym,game,city,region,country,time_s,latency_ms\nu1,g,1\n");
   EXPECT_THROW(import_measurements(bad_row), std::invalid_argument);
-}
-
-TEST(Realtime, EmitsSpikeAfterFinalizeLag) {
-  RealtimeAnalyzer::Config config;
-  config.finalize_lag_s = 1800.0;
-  RealtimeAnalyzer analyzer(config);
-  const geo::Location loc{"", "Illinois", "United States"};
-  analyzer.register_streamer("u1", loc);
-  std::size_t spikes = 0;
-  // Stable 45s, a 2-point spike at 120, then stable again for long enough
-  // that the spike finalizes.
-  std::vector<int> series(8, 45);
-  series.push_back(120);
-  series.push_back(122);
-  for (int i = 0; i < 12; ++i) series.push_back(45);
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    analysis::Measurement m;
-    m.time_s = static_cast<double>(i) * 300.0;
-    m.latency_ms = series[i];
-    const auto out = analyzer.ingest("u1", "League of Legends", m);
-    spikes += out.spikes.size();
-  }
-  EXPECT_EQ(spikes, 1u);
-  EXPECT_EQ(analyzer.spikes_emitted(), 1u);
-  EXPECT_EQ(analyzer.measurements_ingested(), series.size());
-}
-
-TEST(Realtime, MetricsCountAlertsAndFinalizeLag) {
-  obs::MetricsRegistry registry;
-  RealtimeAnalyzer::Config config;
-  config.finalize_lag_s = 1800.0;
-  config.metrics = &registry;
-  RealtimeAnalyzer analyzer(config);
-  const geo::Location loc{"", "Illinois", "United States"};
-  analyzer.register_streamer("u1", loc);
-  std::vector<int> series(8, 45);
-  series.push_back(120);
-  series.push_back(122);
-  for (int i = 0; i < 12; ++i) series.push_back(45);
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    analysis::Measurement m;
-    m.time_s = static_cast<double>(i) * 300.0;
-    m.latency_ms = series[i];
-    analyzer.ingest("u1", "League of Legends", m);
-  }
-  EXPECT_EQ(registry.counter("tero.realtime.measurements").value(),
-            series.size());
-  EXPECT_EQ(registry.counter("tero.realtime.spike_alerts").value(), 1u);
-  // The spike's finalize lag landed in the histogram exactly once.
-  EXPECT_EQ(registry
-                .histogram("tero.realtime.finalize_lag_s",
-                           {60.0, 300.0, 900.0, 1800.0, 3600.0, 7200.0,
-                            14400.0, 43200.0, 86400.0})
-                .count(),
-            1u);
-}
-
-TEST(Realtime, NoDuplicateSpikeAlerts) {
-  RealtimeAnalyzer analyzer;
-  const geo::Location loc{"", "", "Germany"};
-  analyzer.register_streamer("u1", loc);
-  std::size_t spikes = 0;
-  std::vector<int> series(8, 30);
-  series.push_back(110);
-  for (int i = 0; i < 30; ++i) series.push_back(30);
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    analysis::Measurement m;
-    m.time_s = static_cast<double>(i) * 300.0;
-    m.latency_ms = series[i];
-    spikes += analyzer.ingest("u1", "Dota 2", m).spikes.size();
-  }
-  EXPECT_EQ(spikes, 1u);  // the same spike never re-alerts
-}
-
-TEST(Realtime, DistributionAccumulatesGraduatedPoints) {
-  RealtimeAnalyzer::Config config;
-  config.buffer_points = 10;
-  RealtimeAnalyzer analyzer(config);
-  const geo::Location loc{"", "", "France"};
-  analyzer.register_streamer("u1", loc);
-  for (int i = 0; i < 60; ++i) {
-    analysis::Measurement m;
-    m.time_s = i * 300.0;
-    m.latency_ms = 25 + (i % 2);
-    analyzer.ingest("u1", "League of Legends", m);
-  }
-  const auto values = analyzer.distribution(loc, "League of Legends");
-  EXPECT_GT(values.size(), 30u);
-  for (double v : values) {
-    EXPECT_GE(v, 25.0);
-    EXPECT_LE(v, 26.0);
-  }
 }
 
 TEST(OutlierRejection, DropsInconsistentStreamer) {

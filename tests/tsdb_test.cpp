@@ -294,6 +294,24 @@ TEST(StoreTest, RejectsAppendsBehindSealedFrontier) {
   EXPECT_NO_THROW(store.append("k", 2 * kDayMs, 3.0));
 }
 
+TEST(StoreTest, AdvanceSealsAtWholeDayBoundaries) {
+  TimeSeriesStore store(TsdbConfig{});
+  store.append("k", 10, 1.0);
+  store.append("k", kDayMs + 5, 2.0);
+  // Mid-day: only the first whole day is sealed; the rest stays in the head.
+  store.advance_to(kDayMs + kDayMs / 2);
+  EXPECT_EQ(store.sealed_until(), kDayMs);
+  EXPECT_EQ(store.stats().head_samples, 1u);
+  // One millisecond short of the next boundary seals nothing more.
+  store.advance_to(2 * kDayMs - 1);
+  EXPECT_EQ(store.sealed_until(), kDayMs);
+  EXPECT_EQ(store.stats().head_samples, 1u);
+  store.advance_to(2 * kDayMs);
+  EXPECT_EQ(store.sealed_until(), 2 * kDayMs);
+  EXPECT_EQ(store.stats().head_samples, 0u);
+  EXPECT_EQ(store.stats().segment_samples, 2u);
+}
+
 TEST(StoreTest, RetentionDropsExpiredSegments) {
   TsdbConfig config;
   config.retention_ms = 3 * kDayMs;
