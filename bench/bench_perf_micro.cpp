@@ -17,6 +17,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/anomalies.hpp"
@@ -31,6 +32,8 @@
 #include "stats/distributions.hpp"
 #include "stats/probit.hpp"
 #include "stats/wasserstein.hpp"
+#include "stream/channel.hpp"
+#include "stream/event.hpp"
 #include "synth/sessions.hpp"
 #include "synth/thumbnail.hpp"
 #include "synth/world.hpp"
@@ -463,6 +466,63 @@ void BM_ParallelForOverhead(benchmark::State& state) {
                           static_cast<std::int64_t>(out.size()));
 }
 BENCHMARK(BM_ParallelForOverhead)->Arg(1)->Arg(4)->UseRealTime();
+
+/// Moves `count` items, make(i) for each i, from a producer thread to the
+/// calling thread through a Channel<Item> holding `capacity` items; returns
+/// the sum of size(item) over what arrived.
+template <typename Item, typename Make, typename Size>
+std::size_t channel_handoff(std::size_t capacity, std::size_t count,
+                            Make make, Size size) {
+  stream::Channel<Item> channel(capacity);
+  std::thread producer([&] {
+    for (std::size_t i = 0; i < count; ++i) channel.push(make(i));
+    channel.close();
+  });
+  std::size_t received = 0;
+  while (auto item = channel.pop()) received += size(*item);
+  producer.join();
+  return received;
+}
+
+// Stream channel hand-off (DESIGN.md §10): one producer and one consumer
+// move 64k StreamEvents through a channel bounded at 1024 events, one event
+// per push (/1) or in batches of 64 (/64, what StreamPipeline hands on).
+// The gap is the per-crossing cost of a lock, a notify and a wake-up.
+void BM_ChannelHandoff(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kEvents = 64 * 1024;
+  constexpr std::size_t kCapacityEvents = 1024;
+  const auto event = [](std::size_t i) {
+    stream::StreamEvent ev;
+    ev.point_index = static_cast<std::uint32_t>(i);
+    return ev;
+  };
+  for (auto _ : state) {
+    std::size_t received = 0;
+    if (batch == 1) {
+      received = channel_handoff<stream::StreamEvent>(
+          kCapacityEvents, kEvents, event,
+          [](const stream::StreamEvent&) { return std::size_t{1}; });
+    } else {
+      using Batch = std::vector<stream::StreamEvent>;
+      received = channel_handoff<Batch>(
+          kCapacityEvents / batch, kEvents / batch,
+          [&](std::size_t b) {
+            Batch out;
+            out.reserve(batch);
+            for (std::size_t k = 0; k < batch; ++k) {
+              out.push_back(event(b * batch + k));
+            }
+            return out;
+          },
+          [](const Batch& b) { return b.size(); });
+    }
+    benchmark::DoNotOptimize(received);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kEvents));
+}
+BENCHMARK(BM_ChannelHandoff)->Arg(1)->Arg(64)->UseRealTime();
 
 // Fault-layer overhead (DESIGN.md §11). The contract mirrors the obs one:
 // with no injector the call site holds a nullptr FaultPoint* and a crossing

@@ -16,6 +16,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -42,6 +43,26 @@ struct ThroughputRow {
   double publish_p99_ms = 0.0;
   bool matches_batch = false;
 };
+
+/// {"to_extract": {"push": ms, "pop": ms}, ...}: how long each channel's
+/// producer waited on a full queue and its consumer on an empty one.
+std::string blocked_ms_json(const stream::StreamResult& result) {
+  std::ostringstream out;
+  const char* sep = "";
+  out << "{";
+  for (const auto& [name, stats] :
+       {std::pair{"to_extract", &result.to_extract},
+        std::pair{"to_clean", &result.to_clean},
+        std::pair{"to_sink", &result.to_sink}}) {
+    out << sep << "\"" << name << "\": {\"push\": "
+        << static_cast<double>(stats->push_blocked_ns) / 1e6
+        << ", \"pop\": " << static_cast<double>(stats->pop_blocked_ns) / 1e6
+        << "}";
+    sep = ", ";
+  }
+  out << "}";
+  return out.str();
+}
 
 std::string snapshot_bytes(const std::vector<serve::SnapshotEntry>& entries) {
   std::ostringstream out;
@@ -137,6 +158,11 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   bench::note("batch match must be yes at every thread count: the schedule "
               "fixes the event order, so parallelism cannot change results");
+  for (const auto& row : rows) {
+    bench::note(std::to_string(row.threads) +
+                " threads, channel blocked ms: " +
+                blocked_ms_json(row.result));
+  }
 
   // ---- backpressure under a slow sink ---------------------------------------
   bench::header("stream: backpressure (slow sink, capacity 8)");
@@ -154,10 +180,13 @@ int main(int argc, char** argv) {
   const std::uint64_t slow_peak =
       std::max({slow.to_extract.max_depth, slow.to_clean.max_depth,
                 slow.to_sink.max_depth});
+  // Channels count batches: capacity 8 events in hand-offs of 8 is 1 batch.
+  const std::size_t slow_capacity_batches = slow_config.channel_batches();
   bench::note("stalls: " + std::to_string(slow_stalls) +
               ", peak queue depth: " + std::to_string(slow_peak) + "/" +
-              std::to_string(slow_config.channel_capacity) +
-              " (bounded memory regardless of sink speed)");
+              std::to_string(slow_capacity_batches) + " batches of " +
+              std::to_string(slow_config.handoff_batch()) +
+              " events (bounded memory regardless of sink speed)");
 
   // ---- obs: event-time timeline + SLO verdicts ------------------------------
   // The sink advances the timeline past each event's virtual arrival time
@@ -218,12 +247,14 @@ int main(int argc, char** argv) {
         << ", \"publish_p50_ms\": " << row.publish_p50_ms
         << ", \"publish_p99_ms\": " << row.publish_p99_ms
         << ", \"matches_batch\": " << (row.matches_batch ? "true" : "false")
-        << "}" << (i + 1 < rows.size() ? ",\n" : "\n");
+        << ", \"blocked_ms\": " << blocked_ms_json(row.result) << "}"
+        << (i + 1 < rows.size() ? ",\n" : "\n");
   }
   out << "  ],\n";
   out << "  \"backpressure\": {\"stalls\": " << slow_stalls
       << ", \"peak_depth\": " << slow_peak
-      << ", \"capacity\": " << slow_config.channel_capacity << "},\n";
+      << ", \"capacity\": " << slow_config.channel_capacity
+      << ", \"capacity_batches\": " << slow_capacity_batches << "},\n";
   out << "  \"obs\": {\"snapshots\": " << timeline.snapshot_count()
       << ", \"scrape_interval_ms\": " << timeline.scrape_interval_ms()
       << ", \"alerts\": " << tracker.alerts().size() << ", \"slos\": [";

@@ -1020,6 +1020,18 @@ int cmd_stream(int argc, char** argv) {
             << " (extract " << result.to_extract.stalls << ", clean "
             << result.to_clean.stalls << ", sink " << result.to_sink.stalls
             << "), download throttled " << result.download_throttled << "\n";
+  // Wall time each channel's producer waited on a full queue and its
+  // consumer on an empty one: where the stages waited rather than worked.
+  const auto blocked_ms = [](const stream::ChannelStats& stats) {
+    const auto ms = [](std::uint64_t ns) {
+      return util::fmt_double(static_cast<double>(ns) / 1e6, 2);
+    };
+    return ms(stats.push_blocked_ns) + "/" + ms(stats.pop_blocked_ns);
+  };
+  std::cout << "  blocked ms push/pop: extract "
+            << blocked_ms(result.to_extract) << ", clean "
+            << blocked_ms(result.to_clean) << ", sink "
+            << blocked_ms(result.to_sink) << "\n";
   // The timeline is flushed by the pipeline even on a crashed run, so the
   // partial history is written either way.
   if (result.crashed) {

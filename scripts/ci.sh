@@ -6,7 +6,8 @@
 #   tsan         ThreadSanitizer, full test suite        (pool + pipeline races)
 #   bench-smoke  Run bench binaries at tiny N, then parse-check the
 #                BENCH_*.json artifacts with bench_json_check (obs::json)
-#                and require every BENCH_stream.json run to match batch.
+#                and require every BENCH_stream.json run to match batch
+#                and its slow-sink run to stall within its batch bound.
 #                Catches bench bitrot and malformed reporter output without
 #                paying for a full benchmark run.
 #   chaos-smoke  Fault-injection gate: the chaos-labeled test suite
@@ -92,7 +93,7 @@ run_bench_smoke() {
   # Benchmarks write BENCH_*.json into their cwd; keep artifacts in build/bench.
   (
     cd build/bench
-    ./bench_perf_micro --benchmark_filter='BM_CleanStream/100' \
+    ./bench_perf_micro --benchmark_filter='BM_CleanStream/100|BM_ChannelHandoff' \
       --benchmark_min_time=0.01
     ./bench_serve --tiny
     ./bench_stream --tiny
@@ -139,6 +140,37 @@ run_bench_smoke() {
            }
            if (bad) exit 1
            print "bench-smoke: stream matches batch in all " rows " runs"
+         }' BENCH_stream.json
+    # Slow-sink backpressure: the stall counter must fire, and no channel
+    # may have queued more batches than its bound (capacity_batches).
+    awk 'function num(key,   a, b) {
+           if (split($0, a, "\"" key "\": ") < 2) return -1
+           split(a[2], b, /[,}]/)
+           return b[1] + 0
+         }
+         /"backpressure"/ {
+           seen = 1
+           stalls = num("stalls")
+           peak = num("peak_depth")
+           cap = num("capacity_batches")
+           if (stalls <= 0) {
+             print "bench-smoke: slow sink recorded no backpressure stalls"
+             bad = 1
+           }
+           if (cap < 1 || peak < 0 || peak > cap) {
+             print "bench-smoke: peak depth " peak " exceeds capacity " \
+                   cap " batches"
+             bad = 1
+           }
+         }
+         END {
+           if (!seen) {
+             print "bench-smoke: BENCH_stream.json has no backpressure row"
+             exit 1
+           }
+           if (bad) exit 1
+           print "bench-smoke: backpressure stalls " stalls ", peak depth " \
+                 peak "/" cap " batches"
          }' BENCH_stream.json
     # Shard/thread layout cannot change answers: BENCH_serve.json must have
     # at least two closed_loop[] rows, all carrying one checksum.

@@ -1,5 +1,7 @@
 #include "stats/distributions.hpp"
 
+#include <math.h>
+
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -54,11 +56,23 @@ double normal_quantile(double p) {
   return x;
 }
 
+namespace {
+
+/// log Γ(x). std::lgamma stores the sign of Γ(x) in the global `signgam`
+/// (glibc), a data race when pool workers call it concurrently; lgamma_r
+/// returns the same value and writes the sign to a local instead.
+double log_gamma(double x) noexcept {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double log_binomial_coefficient(std::uint64_t n, std::uint64_t k) noexcept {
   if (k > n) return -std::numeric_limits<double>::infinity();
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return log_gamma(static_cast<double>(n) + 1.0) -
+         log_gamma(static_cast<double>(k) + 1.0) -
+         log_gamma(static_cast<double>(n - k) + 1.0);
 }
 
 double binomial_pmf(std::uint64_t n, std::uint64_t k, double p) noexcept {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -13,15 +14,21 @@
 namespace tero::stream {
 
 /// Lifetime accounting for one channel; readable at any time, exact after
-/// both sides have finished. `stalls` counts blocking pushes that found the
-/// channel full (one stall per push, however long it waited) — the
-/// backpressure signal. `max_depth` is the high-water mark of the queue and
-/// by construction never exceeds the capacity.
+/// both sides have finished. Counts are in channel elements (the stream
+/// pipeline's elements are event batches). `stalls` counts blocking pushes
+/// that found the channel full (one stall per push, however long it waited)
+/// — the backpressure signal. `max_depth` is the high-water mark of the
+/// queue and by construction never exceeds the capacity. `push_blocked_ns`
+/// and `pop_blocked_ns` are the wall time producers spent waiting on a full
+/// channel and consumers on an empty one: the clock is read only on a path
+/// that actually waits, so a non-blocking hand-off pays nothing for them.
 struct ChannelStats {
   std::uint64_t pushed = 0;
   std::uint64_t popped = 0;
   std::uint64_t stalls = 0;
   std::uint64_t max_depth = 0;
+  std::uint64_t push_blocked_ns = 0;
+  std::uint64_t pop_blocked_ns = 0;
 };
 
 /// Bounded MPSC/SPSC queue connecting two pipeline stages (DESIGN.md §10).
@@ -30,7 +37,6 @@ struct ChannelStats {
 ///  - push() blocks while the channel is full (bounded memory: at most
 ///    `capacity` elements are ever queued) and returns false once the
 ///    channel is closed — the producer's signal to shut down.
-///  - try_push() never blocks; false means full or closed.
 ///  - pop() blocks while empty; after close() it drains the remaining
 ///    elements and then returns nullopt.
 ///  - close() is idempotent and callable from either side: it wakes blocked
@@ -60,23 +66,17 @@ class Channel {
     if (queue_.size() >= capacity_ && !closed_) {
       ++stats_.stalls;
       if (stall_counter_ != nullptr) stall_counter_->add();
+      const auto start = Clock::now();
       not_full_.wait(lock,
                      [this] { return queue_.size() < capacity_ || closed_; });
+      stats_.push_blocked_ns += elapsed_ns(start);
     }
     if (closed_) return false;
-    enqueue_locked(std::move(value));
+    queue_.push_back(std::move(value));
+    ++stats_.pushed;
+    if (queue_.size() > stats_.max_depth) stats_.max_depth = queue_.size();
+    set_depth_locked();
     lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push; false when full or closed.
-  bool try_push(T value) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || queue_.size() >= capacity_) return false;
-      enqueue_locked(std::move(value));
-    }
     not_empty_.notify_one();
     return true;
   }
@@ -84,16 +84,19 @@ class Channel {
   /// Blocking pop; nullopt once the channel is closed and drained.
   std::optional<T> pop() {
     std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [this] { return !queue_.empty() || closed_; });
+    if (queue_.empty() && !closed_) {
+      const auto start = Clock::now();
+      not_empty_.wait(lock, [this] { return !queue_.empty() || closed_; });
+      stats_.pop_blocked_ns += elapsed_ns(start);
+    }
     if (queue_.empty()) return std::nullopt;
-    return dequeue_locked(lock);
-  }
-
-  /// Non-blocking pop; nullopt when currently empty (closed or not).
-  std::optional<T> try_pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (queue_.empty()) return std::nullopt;
-    return dequeue_locked(lock);
+    std::optional<T> value(std::move(queue_.front()));
+    queue_.pop_front();
+    ++stats_.popped;
+    set_depth_locked();
+    lock.unlock();
+    not_full_.notify_one();
+    return value;
   }
 
   void close() {
@@ -116,23 +119,7 @@ class Channel {
     return queue_.size();
   }
 
-  [[nodiscard]] std::size_t capacity() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return capacity_;
-  }
-
-  /// Retune the bound mid-run (the overload controller's backpressure
-  /// actuation). Growing wakes blocked producers immediately; shrinking
-  /// below the current depth never drops queued elements — pushes simply
-  /// block until the consumer drains below the new bound. 0 clamps to 1,
-  /// as at construction.
-  void set_capacity(std::size_t capacity) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      capacity_ = capacity == 0 ? 1 : capacity;
-    }
-    not_full_.notify_all();
-  }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   [[nodiscard]] ChannelStats stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -140,28 +127,22 @@ class Channel {
   }
 
  private:
-  void enqueue_locked(T value) {
-    queue_.push_back(std::move(value));
-    ++stats_.pushed;
-    if (queue_.size() > stats_.max_depth) stats_.max_depth = queue_.size();
+  using Clock = std::chrono::steady_clock;
+
+  static std::uint64_t elapsed_ns(Clock::time_point start) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start)
+            .count());
+  }
+
+  void set_depth_locked() {
     if (depth_gauge_ != nullptr) {
       depth_gauge_->set(static_cast<double>(queue_.size()));
     }
   }
 
-  std::optional<T> dequeue_locked(std::unique_lock<std::mutex>& lock) {
-    std::optional<T> value(std::move(queue_.front()));
-    queue_.pop_front();
-    ++stats_.popped;
-    if (depth_gauge_ != nullptr) {
-      depth_gauge_->set(static_cast<double>(queue_.size()));
-    }
-    lock.unlock();
-    not_full_.notify_one();
-    return value;
-  }
-
-  std::size_t capacity_;  ///< guarded by mutex_ (set_capacity retunes it)
+  const std::size_t capacity_;
   obs::Gauge* depth_gauge_;
   obs::Counter* stall_counter_;
   mutable std::mutex mutex_;

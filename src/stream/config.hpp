@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -53,10 +54,15 @@ struct StreamConfig {
   double download_rate = 0.0;
   double download_burst = 0.0;
 
-  /// Bounded capacity of each inter-stage channel.
+  /// Bound on each inter-stage channel, in events. Events cross a channel
+  /// in batches of extract_batch, so a channel holds channel_batches()
+  /// batches, and its ChannelStats and tero.stream.queue_depth gauge count
+  /// batches, not events.
   std::size_t channel_capacity = 1024;
-  /// Max thumbnails the extraction stage gathers before running one
-  /// parallel extraction batch on the thread pool.
+  /// The hand-off batch size (0 acts as 1): the source cuts a batch every
+  /// this many events, and the extraction stage runs one parallel map per
+  /// batch. It sets how often stages lock and wake each other, never what
+  /// they compute: output is identical for any value.
   std::size_t extract_batch = 64;
   /// Test/bench knob: microseconds the sink sleeps per event, to make the
   /// consumer slow and force backpressure. Wall-clock pacing only — never
@@ -80,6 +86,16 @@ struct StreamConfig {
   /// timeline snapshots of the sink-owned tero.stream.* series are
   /// bit-identical for any thread count (DESIGN.md §13).
   obs::MetricsTimeline* timeline = nullptr;
+
+  /// Events per hand-off: extract_batch, at least 1.
+  [[nodiscard]] std::size_t handoff_batch() const noexcept {
+    return std::max<std::size_t>(1, extract_batch);
+  }
+  /// Batches each channel holds: channel_capacity / handoff_batch(), at
+  /// least 1.
+  [[nodiscard]] std::size_t channel_batches() const noexcept {
+    return std::max<std::size_t>(1, channel_capacity / handoff_batch());
+  }
 };
 
 }  // namespace tero::stream

@@ -26,6 +26,10 @@
 namespace tero::stream {
 namespace {
 
+/// What every inter-stage channel carries: a run of consecutive events in
+/// schedule order, so a hand-off costs one lock and one wake-up per batch.
+using EventBatch = std::vector<StreamEvent>;
+
 double wall_now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -81,8 +85,8 @@ StreamResult StreamPipeline::run(const synth::World& world,
   if (util::ThreadPool::resolve(config_.tero.threads) > 1) {
     pool = std::make_unique<util::ThreadPool>(config_.tero.threads);
   }
-  const StreamSchedule schedule =
-      build_schedule(world, streams, config_, pool.get());
+  // Non-const: the source moves each event out of the schedule.
+  StreamSchedule schedule = build_schedule(world, streams, config_, pool.get());
 
   const std::unique_ptr<core::ExtractionChannel> channel =
       config_.tero.use_full_ocr ? core::make_ocr_channel(config_.tero.thumbnails)
@@ -132,12 +136,15 @@ StreamResult StreamPipeline::run(const synth::World& world,
     ingest_to_publish_ms =
         &metrics->histogram("tero.stream.ingest_to_publish_ms");
   }
-  Channel<StreamEvent> to_extract(config_.channel_capacity, depth_extract,
-                                  stalls_counter);
-  Channel<StreamEvent> to_clean(config_.channel_capacity, depth_clean,
-                                stalls_counter);
-  Channel<StreamEvent> to_sink(config_.channel_capacity, depth_sink,
+  // channel_capacity bounds each channel in events; events cross in batches
+  // of `batch`, so each channel holds channel_batches() batches.
+  const std::size_t batch = config_.handoff_batch();
+  Channel<EventBatch> to_extract(config_.channel_batches(), depth_extract,
+                                 stalls_counter);
+  Channel<EventBatch> to_clean(config_.channel_batches(), depth_clean,
                                stalls_counter);
+  Channel<EventBatch> to_sink(config_.channel_batches(), depth_sink,
+                              stalls_counter);
 
   // Fault points (null when injection is off). "stream.source" stalls the
   // producer (wall-clock only — ordering and data are unchanged, so the
@@ -152,19 +159,34 @@ StreamResult StreamPipeline::run(const synth::World& world,
   // ---- Stage 1: source — walk the schedule from the resume cursor --------
   const std::size_t start_cursor =
       restored.has_value() ? static_cast<std::size_t>(restored->cursor) : 0;
+  // Batches are cut every `batch` events. The channels are FIFO, so event
+  // order is unchanged and a checkpoint barrier travels inside a batch like
+  // any other event.
   std::thread source_thread([&] {
     const obs::ScopedSpan span(trace, "stream.source", "stage");
+    EventBatch out;
+    out.reserve(batch);
+    // false once the channel is closed: the teardown cascade.
+    const auto hand_off = [&] {
+      if (out.empty()) return true;
+      const bool open = to_extract.push(std::move(out));
+      out.clear();
+      out.reserve(batch);
+      return open;
+    };
     for (std::size_t i = start_cursor; i < schedule.events.size(); ++i) {
-      StreamEvent ev = schedule.events[i];
       if (source_fault != nullptr) {
         const fault::FaultDecision stall = source_fault->hit();
         if (stall.kind == fault::FaultKind::kLatency) {
           // Producer stall: downstream stages see a burst of backpressure,
-          // the data itself is untouched.
+          // the data itself is untouched. Events already ingested go on
+          // first, so none of them waits behind the sleep.
+          if (!hand_off()) return;
           std::this_thread::sleep_for(
               std::chrono::duration<double>(stall.delay_s));
         }
       }
+      StreamEvent& ev = out.emplace_back(std::move(schedule.events[i]));
       ev.ingest_wall_s = wall_now_s();
       if (ev.kind == EventKind::kCheckpoint) {
         ev.draft = std::make_shared<CheckpointData>();
@@ -172,8 +194,9 @@ StreamResult StreamPipeline::run(const synth::World& world,
         ev.draft->cursor = i + 1;
         ev.draft->events_total = schedule.events.size();
       }
-      if (!to_extract.push(std::move(ev))) return;  // teardown cascade
+      if (out.size() >= batch && !hand_off()) return;
     }
+    if (!hand_off()) return;
     to_extract.close();
   });
 
@@ -183,15 +206,16 @@ StreamResult StreamPipeline::run(const synth::World& world,
   std::uint64_t ext_ok = restored.has_value() ? restored->ocr_ok : 0;
   std::thread extract_thread([&] {
     const obs::ScopedSpan span(trace, "stream.extract", "stage");
-    std::vector<StreamEvent> pending;
-    pending.reserve(config_.extract_batch);
-    // Extract the pending batch on the pool (per-point seeds keep results
-    // independent of scheduling) and forward outcomes in batch order.
-    const auto flush = [&]() -> bool {
-      if (pending.empty()) return true;
+    while (auto in = to_extract.pop()) {
+      EventBatch& events = *in;
+      // Extract the whole batch on the pool (per-point seeds keep results
+      // independent of scheduling); markers map to an empty extraction.
       const auto results = util::parallel_map(
-          pool.get(), pending.size(), 8, [&](std::size_t k) {
-            const StreamEvent& ev = pending[k];
+          pool.get(), events.size(), 8, [&](std::size_t k) {
+            const StreamEvent& ev = events[k];
+            if (ev.kind != EventKind::kThumbnail) {
+              return core::ThumbnailExtraction{};
+            }
             const auto& true_stream = streams[ev.stream_index];
             if (core::extraction_quarantined(extract_fault,
                                              true_stream.streamer_index,
@@ -208,43 +232,30 @@ StreamResult StreamPipeline::run(const synth::World& world,
                                              ev.stream_index),
                 ev.point_index);
           });
-      for (std::size_t k = 0; k < pending.size(); ++k) {
-        ++ext_thumbnails;
-        if (!results[k].visible) continue;
-        ++ext_visible;
-        if (!results[k].measurement.has_value()) continue;
-        ++ext_ok;
-        StreamEvent ev = std::move(pending[k]);
-        ev.visible = true;
-        ev.measurement = results[k].measurement;
-        if (!to_clean.push(std::move(ev))) return false;
-      }
-      pending.clear();
-      return true;
-    };
-    bool aborted = false;
-    while (!aborted) {
-      auto ev = to_extract.pop();
-      if (!ev.has_value()) break;
-      if (ev->kind == EventKind::kThumbnail) {
-        pending.push_back(std::move(*ev));
-        if (pending.size() >= config_.extract_batch && !flush()) {
-          aborted = true;
+      // One in-order pass: count the funnel, stamp checkpoint drafts with
+      // the counts so far, and compact the batch to the events that go on.
+      std::size_t kept = 0;
+      for (std::size_t k = 0; k < events.size(); ++k) {
+        StreamEvent& ev = events[k];
+        if (ev.kind == EventKind::kThumbnail) {
+          ++ext_thumbnails;
+          if (!results[k].visible) continue;
+          ++ext_visible;
+          if (!results[k].measurement.has_value()) continue;
+          ++ext_ok;
+          ev.visible = true;
+          ev.measurement = results[k].measurement;
+        } else if (ev.kind == EventKind::kCheckpoint) {
+          ev.draft->thumbnails = ext_thumbnails;
+          ev.draft->visible = ext_visible;
+          ev.draft->ocr_ok = ext_ok;
         }
-        continue;
+        if (kept != k) events[kept] = std::move(ev);
+        ++kept;
       }
-      if (!flush()) {
-        aborted = true;
-        break;
-      }
-      if (ev->kind == EventKind::kCheckpoint) {
-        ev->draft->thumbnails = ext_thumbnails;
-        ev->draft->visible = ext_visible;
-        ev->draft->ocr_ok = ext_ok;
-      }
-      if (!to_clean.push(std::move(*ev))) aborted = true;
+      events.resize(kept);
+      if (!events.empty() && !to_clean.push(std::move(events))) break;
     }
-    if (!aborted) flush();
     to_extract.close();
     to_clean.close();
   });
@@ -278,22 +289,23 @@ StreamResult StreamPipeline::run(const synth::World& world,
       }
       return it->second;
     };
-    bool aborted = false;
-    while (!aborted) {
-      auto ev = to_clean.pop();
-      if (!ev.has_value()) break;
-      switch (ev->kind) {
-        case EventKind::kThumbnail: {
-          const GroupKey& key = schedule.stream_group[ev->stream_index];
-          ensure_group(key).streams[ev->stream_index].push_back(
-              *ev->measurement);
-          if (!to_sink.push(std::move(*ev))) aborted = true;
-          break;
-        }
-        case EventKind::kStreamEnd: {
-          const GroupKey& key = schedule.stream_group[ev->stream_index];
-          GroupBuf& buf = ensure_group(key);
-          if (--buf.remaining == 0) {
+    // One output batch per input batch, with each finished group's kEntry
+    // inserted just ahead of the kStreamEnd that completed it.
+    while (auto in = to_clean.pop()) {
+      EventBatch out;
+      out.reserve(in->size());
+      for (StreamEvent& ev : *in) {
+        switch (ev.kind) {
+          case EventKind::kThumbnail: {
+            const GroupKey& key = schedule.stream_group[ev.stream_index];
+            ensure_group(key).streams[ev.stream_index].push_back(
+                *ev.measurement);
+            break;
+          }
+          case EventKind::kStreamEnd: {
+            const GroupKey& key = schedule.stream_group[ev.stream_index];
+            GroupBuf& buf = ensure_group(key);
+            if (--buf.remaining > 0) break;
             // All of the group's streams have arrived: run the batch
             // analysis stage on them, in stream-index order (the batch
             // grouping order), and emit the finished entry.
@@ -301,8 +313,8 @@ StreamResult StreamPipeline::run(const synth::World& world,
             group_streams.reserve(buf.streams.size());
             for (auto& [stream_index, points] : buf.streams) {
               analysis::Stream s;
-              s.streamer = schedule
-                               .pseudonyms[streams[stream_index].streamer_index];
+              s.streamer =
+                  schedule.pseudonyms[streams[stream_index].streamer_index];
               s.game = streams[stream_index].game;
               s.points = std::move(points);
               group_streams.push_back(std::move(s));
@@ -313,40 +325,34 @@ StreamResult StreamPipeline::run(const synth::World& world,
                   key.game, key.epoch, std::move(group_streams),
                   config_.tero.analysis);
               if (entry.has_value()) {
-                StreamEvent out;
-                out.kind = EventKind::kEntry;
-                out.arrival_time = ev->arrival_time;
-                out.ingest_wall_s = ev->ingest_wall_s;
-                out.entry = std::make_shared<const CollectedEntry>(
+                StreamEvent& done = out.emplace_back();
+                done.kind = EventKind::kEntry;
+                done.arrival_time = ev.arrival_time;
+                done.ingest_wall_s = ev.ingest_wall_s;
+                done.entry = std::make_shared<const CollectedEntry>(
                     CollectedEntry{key, std::move(*entry)});
-                if (!to_sink.push(std::move(out))) {
-                  aborted = true;
-                  break;
-                }
               }
             }
             open_groups.erase(key);
+            break;
           }
-          if (!to_sink.push(std::move(*ev))) aborted = true;
-          break;
-        }
-        case EventKind::kCheckpoint: {
-          for (const auto& [key, buf] : open_groups) {
-            CheckpointData::GroupState state;
-            state.key = key;
-            state.remaining = buf.remaining;
-            for (const auto& [stream_index, points] : buf.streams) {
-              state.streams.push_back({stream_index, points});
+          case EventKind::kCheckpoint:
+            for (const auto& [key, buf] : open_groups) {
+              CheckpointData::GroupState state;
+              state.key = key;
+              state.remaining = buf.remaining;
+              for (const auto& [stream_index, points] : buf.streams) {
+                state.streams.push_back({stream_index, points});
+              }
+              ev.draft->groups.push_back(std::move(state));
             }
-            ev->draft->groups.push_back(std::move(state));
-          }
-          if (!to_sink.push(std::move(*ev))) aborted = true;
-          break;
+            break;
+          default:
+            break;
         }
-        default:
-          if (!to_sink.push(std::move(*ev))) aborted = true;
-          break;
+        out.push_back(std::move(ev));
       }
+      if (!to_sink.push(std::move(out))) break;
     }
     to_clean.close();
     to_sink.close();
@@ -451,112 +457,116 @@ StreamResult StreamPipeline::run(const synth::World& world,
   double last_arrival_s = 0.0;
   {
     const obs::ScopedSpan span(trace, "stream.sink", "stage");
+    // Walk each batch in order; a crash_after checkpoint stops mid-batch.
     while (!crashed) {
-      auto ev = to_sink.pop();
-      if (!ev.has_value()) break;
-      if (config_.sink_delay_us > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(config_.sink_delay_us));
-      }
-      // The sink sees events serially in deterministic arrival order, so
-      // this is the one safe place to drive the telemetry timeline's
-      // virtual clock (DESIGN.md §13).
-      if (config_.timeline != nullptr && ev->arrival_time > 0.0) {
-        last_arrival_s = ev->arrival_time;
-        config_.timeline->advance_to(
-            static_cast<std::uint64_t>(ev->arrival_time * 1000.0));
-      }
-      switch (ev->kind) {
-        case EventKind::kStreamStart:
-          wm.open(ev->stream_index, ev->event_time);
-          close_ready_windows();
-          break;
-        case EventKind::kThumbnail: {
-          ++measurements;
-          if (events_counter != nullptr) events_counter->add();
-          wm.update(ev->stream_index, ev->event_time);
-          const std::int64_t window =
-              window_of(ev->event_time, config_.window_size_s);
-          const double window_end =
-              static_cast<double>(window + 1) * config_.window_size_s;
-          if (window_end + config_.allowed_lateness_s <= wm.watermark()) {
-            // The window this event belongs to already closed: count it as
-            // late and keep it out of the live view. It still reaches the
-            // exact path through the cleaning stage.
-            ++late_events;
-            if (late_counter != nullptr) late_counter->add();
-          } else {
-            WindowKey key{window,
-                          {schedule.stream_window_location[ev->stream_index],
-                           streams[ev->stream_index].game}};
-            WindowBuf& buf = windows[key];
-            if (buf.agg == nullptr) {
-              buf.agg = std::make_unique<WindowAggregate>();
-              buf.first_wall = ev->ingest_wall_s;
-            }
-            buf.agg->add(
-                static_cast<double>(ev->measurement->latency_ms));
-            buf.streamers.insert(
-                schedule
-                    .pseudonyms[streams[ev->stream_index].streamer_index]);
-          }
-          close_ready_windows();
-          break;
+      auto in = to_sink.pop();
+      if (!in.has_value()) break;
+      for (std::size_t k = 0; k < in->size() && !crashed; ++k) {
+        const StreamEvent& ev = (*in)[k];
+        if (config_.sink_delay_us > 0) {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(config_.sink_delay_us));
         }
-        case EventKind::kStreamEnd:
-          wm.close(ev->stream_index);
-          close_ready_windows();
-          break;
-        case EventKind::kEntry:
-          collected.push_back(*ev->entry);
-          break;
-        case EventKind::kCheckpoint: {
-          CheckpointData& draft = *ev->draft;
-          draft.watermark = wm.watermark();
-          draft.open_sources = wm.open_map();
-          for (const auto& [key, buf] : windows) {
-            CheckpointData::WindowState state;
-            state.window = key.window;
-            state.location = key.key.location;
-            state.game = key.key.game;
-            state.agg = export_aggregate(*buf.agg);
-            state.streamers.assign(buf.streamers.begin(),
-                                   buf.streamers.end());
-            draft.windows.push_back(std::move(state));
+        // The sink sees events serially in deterministic arrival order, so
+        // this is the one safe place to drive the telemetry timeline's
+        // virtual clock (DESIGN.md §13).
+        if (config_.timeline != nullptr && ev.arrival_time > 0.0) {
+          last_arrival_s = ev.arrival_time;
+          config_.timeline->advance_to(
+              static_cast<std::uint64_t>(ev.arrival_time * 1000.0));
+        }
+        switch (ev.kind) {
+          case EventKind::kStreamStart:
+            wm.open(ev.stream_index, ev.event_time);
+            close_ready_windows();
+            break;
+          case EventKind::kThumbnail: {
+            ++measurements;
+            if (events_counter != nullptr) events_counter->add();
+            wm.update(ev.stream_index, ev.event_time);
+            const std::int64_t window =
+                window_of(ev.event_time, config_.window_size_s);
+            const double window_end =
+                static_cast<double>(window + 1) * config_.window_size_s;
+            if (window_end + config_.allowed_lateness_s <= wm.watermark()) {
+              // The window this event belongs to already closed: count it as
+              // late and keep it out of the live view. It still reaches the
+              // exact path through the cleaning stage.
+              ++late_events;
+              if (late_counter != nullptr) late_counter->add();
+            } else {
+              WindowKey key{window,
+                            {schedule.stream_window_location[ev.stream_index],
+                             streams[ev.stream_index].game}};
+              WindowBuf& buf = windows[key];
+              if (buf.agg == nullptr) {
+                buf.agg = std::make_unique<WindowAggregate>();
+                buf.first_wall = ev.ingest_wall_s;
+              }
+              buf.agg->add(
+                  static_cast<double>(ev.measurement->latency_ms));
+              buf.streamers.insert(
+                  schedule
+                      .pseudonyms[streams[ev.stream_index].streamer_index]);
+            }
+            close_ready_windows();
+            break;
           }
-          for (const auto& [key, buf] : live.running()) {
-            CheckpointData::RunningState state;
-            state.location = key.location;
-            state.game = key.game;
-            state.agg = export_aggregate(*buf.agg);
-            state.streamers.assign(buf.streamers.begin(),
-                                   buf.streamers.end());
-            draft.running.push_back(std::move(state));
+          case EventKind::kStreamEnd:
+            wm.close(ev.stream_index);
+            close_ready_windows();
+            break;
+          case EventKind::kEntry:
+            collected.push_back(*ev.entry);
+            break;
+          case EventKind::kCheckpoint: {
+            CheckpointData& draft = *ev.draft;
+            draft.watermark = wm.watermark();
+            draft.open_sources = wm.open_map();
+            for (const auto& [key, buf] : windows) {
+              CheckpointData::WindowState state;
+              state.window = key.window;
+              state.location = key.key.location;
+              state.game = key.key.game;
+              state.agg = export_aggregate(*buf.agg);
+              state.streamers.assign(buf.streamers.begin(),
+                                     buf.streamers.end());
+              draft.windows.push_back(std::move(state));
+            }
+            for (const auto& [key, buf] : live.running()) {
+              CheckpointData::RunningState state;
+              state.location = key.location;
+              state.game = key.game;
+              state.agg = export_aggregate(*buf.agg);
+              state.streamers.assign(buf.streamers.begin(),
+                                     buf.streamers.end());
+              draft.running.push_back(std::move(state));
+            }
+            draft.collected = collected;
+            draft.measurements = measurements;
+            draft.late_events = late_events;
+            draft.windows_closed = windows_closed;
+            draft.windows_since_publish = windows_since_publish;
+            draft.epoch_counter = epoch_counter;
+            draft.epochs_published = epochs_published;
+            if (!config_.checkpoint_dir.empty()) {
+              write_checkpoint_file(draft, config_.checkpoint_dir);
+            }
+            ++checkpoints_written;
+            if (checkpoints_counter != nullptr) checkpoints_counter->add();
+            if (trace != nullptr) {
+              trace->add_instant("stream.checkpoint", "stream");
+            }
+            if (config_.crash_after > 0 &&
+                draft.id == config_.crash_after) {
+              // Fault injection: die right after the checkpoint hits disk.
+              // Closing our input wakes the producers; the close cascades
+              // back to the source and every stage exits.
+              crashed = true;
+              to_sink.close();
+            }
+            break;
           }
-          draft.collected = collected;
-          draft.measurements = measurements;
-          draft.late_events = late_events;
-          draft.windows_closed = windows_closed;
-          draft.windows_since_publish = windows_since_publish;
-          draft.epoch_counter = epoch_counter;
-          draft.epochs_published = epochs_published;
-          if (!config_.checkpoint_dir.empty()) {
-            write_checkpoint_file(draft, config_.checkpoint_dir);
-          }
-          ++checkpoints_written;
-          if (checkpoints_counter != nullptr) checkpoints_counter->add();
-          if (trace != nullptr) {
-            trace->add_instant("stream.checkpoint", "stream");
-          }
-          if (config_.crash_after > 0 &&
-              draft.id == config_.crash_after) {
-            // Fault injection: die right after the checkpoint hits disk.
-            // Closing our input wakes the producers; the close cascades
-            // back to the source and every stage exits.
-            crashed = true;
-            to_sink.close();
-          }
-          break;
         }
       }
     }

@@ -35,6 +35,8 @@ struct StreamResult {
   bool crashed = false;           ///< --crash-after fired
   std::uint64_t resumed_from = 0; ///< checkpoint id restored; 0 = fresh run
 
+  /// Per-channel accounting. Events cross in batches, so pushed, popped,
+  /// stalls and max_depth count batches (DESIGN.md §10).
   ChannelStats to_extract;
   ChannelStats to_clean;
   ChannelStats to_sink;
@@ -42,11 +44,11 @@ struct StreamResult {
 
 /// The streaming ingestion pipeline: download-schedule source → parallel
 /// OCR extraction → per-streamer cleaning → windowed aggregation sink,
-/// chained by bounded channels, each stage on its own thread (the sink runs
-/// on the caller). Event-time tumbling windows close under a low watermark
-/// and fold into live serve epochs; barrier-carried checkpoints make a
-/// killed run resume with bit-identical final output (see DESIGN.md §10 for
-/// the full protocol).
+/// chained by bounded channels that carry batches of events, each stage on
+/// its own thread (the sink runs on the caller). Event-time tumbling
+/// windows close under a low watermark and fold into live serve epochs;
+/// barrier-carried checkpoints make a killed run resume with bit-identical
+/// final output (see DESIGN.md §10 for the full protocol).
 ///
 /// Determinism: the schedule fixes the event order, every channel has one
 /// producer, extraction randomness is per-point (Rng::indexed), and the

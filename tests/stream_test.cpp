@@ -4,14 +4,17 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "serve/service.hpp"
 #include "tsdb/store.hpp"
@@ -35,15 +38,20 @@ namespace {
 TEST(Channel, FifoAndCapacity) {
   Channel<int> channel(3);
   EXPECT_EQ(channel.capacity(), 3u);
-  EXPECT_TRUE(channel.try_push(1));
-  EXPECT_TRUE(channel.try_push(2));
-  EXPECT_TRUE(channel.try_push(3));
-  EXPECT_FALSE(channel.try_push(4));  // full
-  EXPECT_EQ(channel.size(), 3u);
+  EXPECT_TRUE(channel.push(1));
+  EXPECT_TRUE(channel.push(2));
+  EXPECT_TRUE(channel.push(3));
+  EXPECT_EQ(channel.size(), 3u);  // full: a fourth push would block
   EXPECT_EQ(channel.pop(), 1);
   EXPECT_EQ(channel.pop(), 2);
   EXPECT_EQ(channel.pop(), 3);
-  EXPECT_FALSE(channel.try_pop().has_value());
+  EXPECT_EQ(channel.size(), 0u);
+  const ChannelStats stats = channel.stats();
+  EXPECT_EQ(stats.max_depth, 3u);
+  EXPECT_EQ(stats.stalls, 0u);
+  // Nothing waited, so no blocked time was recorded on either side.
+  EXPECT_EQ(stats.push_blocked_ns, 0u);
+  EXPECT_EQ(stats.pop_blocked_ns, 0u);
 }
 
 TEST(Channel, CloseDrainsThenEnds) {
@@ -73,41 +81,11 @@ TEST(Channel, BlockingPushCountsStallAndRecovers) {
   EXPECT_EQ(stats.pushed, 2u);
   EXPECT_EQ(stats.popped, 2u);
   EXPECT_EQ(stats.stalls, 1u);
+  // The stall is visible only once the producer waits (it releases the
+  // lock there), so that wait really happened and was timed.
+  EXPECT_GT(stats.push_blocked_ns, 0u);
   EXPECT_LE(stats.max_depth, channel.capacity());
   EXPECT_EQ(stalls.value(), 1u);
-}
-
-TEST(Channel, SetCapacityRetunesTheBoundLive) {
-  Channel<int> channel(4);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(channel.push(i));
-  ASSERT_FALSE(channel.try_push(99));
-
-  // Shrinking below the current depth never drops queued elements; pushes
-  // stay blocked until the consumer drains below the new bound.
-  channel.set_capacity(2);
-  EXPECT_EQ(channel.capacity(), 2u);
-  EXPECT_EQ(channel.size(), 4u);
-  EXPECT_FALSE(channel.try_push(99));
-  EXPECT_EQ(channel.pop(), 0);
-  EXPECT_EQ(channel.pop(), 1);
-  EXPECT_FALSE(channel.try_push(99));  // still at the new bound (2 queued)
-  EXPECT_EQ(channel.pop(), 2);
-  EXPECT_TRUE(channel.try_push(50));
-
-  // Growing wakes a producer blocked on the old bound.
-  Channel<int> grown(1);
-  ASSERT_TRUE(grown.push(1));
-  std::thread producer([&] { EXPECT_TRUE(grown.push(2)); });
-  while (grown.stats().stalls == 0) std::this_thread::yield();
-  grown.set_capacity(4);
-  producer.join();
-  EXPECT_EQ(grown.size(), 2u);
-  EXPECT_EQ(grown.pop(), 1);
-  EXPECT_EQ(grown.pop(), 2);
-
-  // 0 clamps to 1, matching construction.
-  grown.set_capacity(0);
-  EXPECT_EQ(grown.capacity(), 1u);
 }
 
 TEST(Channel, MpscDeliversEverything) {
@@ -587,16 +565,120 @@ TEST(StreamPipeline, SlowSinkBoundsQueuesAndCountsStalls) {
                                result.to_clean.stalls +
                                result.to_sink.stalls;
   EXPECT_GT(stalls, 0u);
-  // ...while every queue stayed within its bound (memory is bounded).
-  EXPECT_LE(result.to_extract.max_depth, config.channel_capacity);
-  EXPECT_LE(result.to_clean.max_depth, config.channel_capacity);
-  EXPECT_LE(result.to_sink.max_depth, config.channel_capacity);
+  // ...while every queue stayed within its bound (memory is bounded). The
+  // channels carry batches of extract_batch events, so the bound in events
+  // is channel_capacity / extract_batch batches.
+  const std::size_t capacity_batches =
+      config.channel_capacity / config.extract_batch;
+  EXPECT_LE(result.to_extract.max_depth, capacity_batches);
+  EXPECT_LE(result.to_clean.max_depth, capacity_batches);
+  EXPECT_LE(result.to_sink.max_depth, capacity_batches);
   EXPECT_EQ(registry.counter("tero.stream.backpressure_stalls").value(),
             stalls);
   // Metrics wiring: events/windows counters agree with the result struct.
   EXPECT_EQ(registry.counter("tero.stream.events").value(), result.events);
   EXPECT_EQ(registry.counter("tero.stream.windows_closed").value(),
             result.windows_closed);
+}
+
+// ------------------------------------------------------- hand-off batching --
+
+/// Every file a run left in `dir`, by name.
+std::map<std::string, std::string> files_in(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(file.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    files[file.path().filename().string()] = bytes.str();
+  }
+  return files;
+}
+
+TEST(StreamPipeline, HandoffBatchSizeDoesNotChangeOutput) {
+  // extract_batch only sets how many events cross a channel at once, so
+  // every output is the same for one event per hand-off, an odd size, the
+  // default, and one batch holding the whole schedule, at any thread count.
+  const Scenario scenario = make_scenario(24, 2);
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      ("tero_stream_handoff_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  struct Outputs {
+    std::uint64_t dataset_digest = 0;
+    std::string snapshot;
+    std::uint64_t live_epochs = 0;
+    std::uint64_t tsdb_digest = 0;
+    std::map<std::string, std::string> checkpoints;
+  };
+  std::optional<Outputs> expected;
+  constexpr std::size_t kWholeSchedule = std::size_t{1} << 20;
+  for (const std::size_t batch :
+       {std::size_t{1}, std::size_t{7}, std::size_t{64}, kWholeSchedule}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::filesystem::path dir =
+          root / (std::to_string(batch) + "_" + std::to_string(threads));
+      std::filesystem::remove_all(dir);
+      std::filesystem::create_directories(dir);
+      serve::QueryService service{serve::ServeConfig{}};
+      tsdb::TimeSeriesStore store{tsdb::TsdbConfig{}};
+      StreamConfig config = base_config(threads);
+      config.extract_batch = batch;
+      config.publish_every_windows = 2;
+      config.checkpoint_every_windows = 2;
+      config.checkpoint_dir = dir.string();
+      config.service = &service;
+      config.tsdb = &store;
+      StreamPipeline pipeline(config);
+      const StreamResult result =
+          pipeline.run(scenario.world, scenario.streams);
+      ASSERT_FALSE(result.crashed);
+      ASSERT_GT(result.checkpoints_written, 0u);
+      ASSERT_GT(result.epochs_published, 0u);
+      if (batch == kWholeSchedule) {
+        ASSERT_LT(result.thumbnails, batch);
+      }
+
+      Outputs got;
+      got.dataset_digest = core::dataset_digest(result.dataset);
+      got.snapshot = snapshot_bytes(1, result.final_entries);
+      got.live_epochs = result.epochs_published;
+      got.tsdb_digest = store.dataset_digest();
+      got.checkpoints = files_in(dir);
+      if (!expected.has_value()) {
+        expected = std::move(got);
+        continue;
+      }
+      const std::string where = "batch " + std::to_string(batch) + " at " +
+                                std::to_string(threads) + " threads";
+      EXPECT_EQ(got.dataset_digest, expected->dataset_digest) << where;
+      EXPECT_EQ(got.snapshot, expected->snapshot) << where;
+      EXPECT_EQ(got.live_epochs, expected->live_epochs) << where;
+      EXPECT_EQ(got.tsdb_digest, expected->tsdb_digest) << where;
+      EXPECT_EQ(got.checkpoints, expected->checkpoints) << where;
+    }
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(StreamPipeline, SourceStallsDoNotChangeOutput) {
+  // A stream.source latency fault sleeps the producer mid-batch; the events
+  // it already holds go on first. Wall-clock pacing only: same bytes.
+  const Scenario scenario = make_scenario(24, 1);
+  StreamPipeline plain(base_config(2));
+  const StreamResult expected = plain.run(scenario.world, scenario.streams);
+
+  fault::FaultInjector injector(
+      fault::FaultPlan::parse("stream.source=latency@0.02:ms=1", 7));
+  StreamConfig config = base_config(2);
+  config.extract_batch = 16;
+  config.tero.injector = &injector;
+  StreamPipeline stalled(config);
+  const StreamResult result = stalled.run(scenario.world, scenario.streams);
+  EXPECT_GT(injector.point("stream.source").fired(), 0u);
+  expect_same_funnel(result.dataset.funnel, expected.dataset.funnel);
+  EXPECT_EQ(snapshot_bytes(1, result.final_entries),
+            snapshot_bytes(1, expected.final_entries));
 }
 
 // ------------------------------------------------------------- checkpoints --
@@ -694,6 +776,38 @@ TEST_F(CheckpointTest, CrashAtEveryBoundaryRecoversBitIdentically) {
     EXPECT_EQ(snapshot_bytes(1, resumed.final_entries), expected_bytes)
         << "recovery from boundary " << boundary << " diverged";
   }
+}
+
+TEST_F(CheckpointTest, ResumeWithAnotherHandoffBatchSizeIsBitIdentical) {
+  // A checkpoint records event positions, not batch boundaries, so a run
+  // crashed under one batch size resumes under another with the same bytes.
+  const Scenario scenario = make_scenario(24, 2);
+  StreamConfig config = base_config(1);
+  config.extract_batch = 7;
+  config.publish_every_windows = 2;
+  config.checkpoint_every_windows = 2;
+  config.checkpoint_dir = fresh_dir("reference");
+  StreamPipeline reference(config);
+  const StreamResult expected = reference.run(scenario.world, scenario.streams);
+  ASSERT_GT(expected.checkpoints_written, 1u);
+
+  config.checkpoint_dir = fresh_dir("crash");
+  config.crash_after = expected.checkpoints_written / 2;
+  StreamPipeline crashing(config);
+  EXPECT_TRUE(crashing.run(scenario.world, scenario.streams).crashed);
+
+  StreamConfig resume_config = config;
+  resume_config.crash_after = 0;
+  resume_config.extract_batch = 64;
+  resume_config.tero.threads = 4;
+  StreamPipeline resuming(resume_config);
+  const StreamResult resumed = resuming.run(scenario.world, scenario.streams);
+  EXPECT_FALSE(resumed.crashed);
+  EXPECT_EQ(resumed.resumed_from, config.crash_after);
+  EXPECT_EQ(resumed.final_epoch, expected.final_epoch);
+  expect_same_funnel(resumed.dataset.funnel, expected.dataset.funnel);
+  EXPECT_EQ(snapshot_bytes(1, resumed.final_entries),
+            snapshot_bytes(1, expected.final_entries));
 }
 
 }  // namespace
