@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -38,6 +39,8 @@
 #include "synth/thumbnail.hpp"
 #include "synth/world.hpp"
 #include "tero/pipeline.hpp"
+#include "tsdb/encoding.hpp"
+#include "tsdb/store.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -523,6 +526,91 @@ void BM_ChannelHandoff(benchmark::State& state) {
                           static_cast<std::int64_t>(kEvents));
 }
 BENCHMARK(BM_ChannelHandoff)->Arg(1)->Arg(64)->UseRealTime();
+
+// tsdb chunk codec (DESIGN.md §15) on a 96-sample chunk: four virtual days
+// of hourly samples, the chunk a level-1 segment holds per key. Whole
+// milliseconds (what OCR emits) XOR into short windows; fractional values
+// open ~50-bit windows. items/s is samples/s; ns/sample = 1e9 / items/s.
+std::vector<tsdb::Sample> codec_samples(bool fractional) {
+  constexpr std::int64_t kHourMs = 3'600'000;
+  util::Rng rng(11);
+  std::vector<tsdb::Sample> samples;
+  for (std::int64_t h = 0; h < 96; ++h) {
+    const double value = rng.uniform(20.0, 120.0);
+    samples.push_back({h * kHourMs, fractional ? value : std::floor(value)});
+  }
+  return samples;
+}
+
+void BM_TsdbChunkCodec(benchmark::State& state, bool decode, bool fractional) {
+  const std::vector<tsdb::Sample> samples = codec_samples(fractional);
+  const std::string bytes = tsdb::encode_chunk(samples);
+  for (auto _ : state) {
+    if (decode) {
+      tsdb::ChunkCursor cursor(bytes);
+      tsdb::Sample sample;
+      double sum = 0.0;
+      while (cursor.next(sample)) sum += sample.value;
+      benchmark::DoNotOptimize(sum);
+    } else {
+      benchmark::DoNotOptimize(tsdb::encode_chunk(samples));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(samples.size()));
+}
+BENCHMARK_CAPTURE(BM_TsdbChunkCodec, encode_ms, false, false);
+BENCHMARK_CAPTURE(BM_TsdbChunkCodec, encode_frac, false, true);
+BENCHMARK_CAPTURE(BM_TsdbChunkCodec, decode_ms, true, false);
+BENCHMARK_CAPTURE(BM_TsdbChunkCodec, decode_frac, true, true);
+
+// tsdb range reads in the perfbench serve-read shape: 64 keys of hourly
+// fractional latencies over 14 virtual days (compacted to level-1 and
+// level-0 segments), queried over 1-3 day spans in hourly, 6-hourly and
+// daily windows. items/s is samples folded into windows per second.
+void BM_TsdbRange(benchmark::State& state, tsdb::RangeAgg agg) {
+  constexpr std::int64_t kHourMs = 3'600'000;
+  constexpr std::int64_t kDayMs = 24 * kHourMs;
+  constexpr int kKeys = 64;
+  constexpr int kDays = 14;
+  tsdb::TimeSeriesStore store{tsdb::TsdbConfig{}};
+  util::Rng rng(13);
+  for (std::int64_t h = 0; h < kDays * 24; ++h) {
+    store.advance_to(h * kHourMs);
+    for (int k = 0; k < kKeys; ++k) {
+      store.append("key" + std::to_string(k), h * kHourMs,
+                   rng.uniform(20.0, 120.0));
+    }
+  }
+  store.advance_to(kDays * kDayMs);
+  std::vector<tsdb::RangeQuery> queries;
+  const std::int64_t windows[] = {kHourMs, 6 * kHourMs, kDayMs};
+  for (int i = 0; i < 256; ++i) {
+    tsdb::RangeQuery query;
+    query.key = "key" + std::to_string(rng.uniform_int(0, kKeys - 1));
+    query.window_ms = windows[rng.uniform_int(0, 2)];
+    const std::int64_t span = kDayMs * rng.uniform_int(1, 3);
+    query.t0_ms =
+        kHourMs * rng.uniform_int(0, (kDays * kDayMs - span) / kHourMs);
+    query.t1_ms = query.t0_ms + span;
+    query.agg = agg;
+    queries.push_back(std::move(query));
+  }
+  std::size_t i = 0;
+  std::int64_t folded = 0;
+  for (auto _ : state) {
+    const auto points = store.range(queries[i]);
+    for (const tsdb::RangePoint& point : points) {
+      folded += static_cast<std::int64_t>(point.count);
+    }
+    benchmark::DoNotOptimize(points.data());
+    i = (i + 1) % queries.size();
+  }
+  state.SetItemsProcessed(folded);
+}
+BENCHMARK_CAPTURE(BM_TsdbRange, count, tsdb::RangeAgg::kCount);
+BENCHMARK_CAPTURE(BM_TsdbRange, mean, tsdb::RangeAgg::kMean);
+BENCHMARK_CAPTURE(BM_TsdbRange, p99, tsdb::RangeAgg::kPercentile);
 
 // Fault-layer overhead (DESIGN.md §11). The contract mirrors the obs one:
 // with no injector the call site holds a nullptr FaultPoint* and a crossing

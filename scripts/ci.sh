@@ -93,7 +93,8 @@ run_bench_smoke() {
   # Benchmarks write BENCH_*.json into their cwd; keep artifacts in build/bench.
   (
     cd build/bench
-    ./bench_perf_micro --benchmark_filter='BM_CleanStream/100|BM_ChannelHandoff' \
+    ./bench_perf_micro \
+      --benchmark_filter='BM_CleanStream/100$|BM_ChannelHandoff|BM_TsdbChunkCodec|BM_TsdbRange' \
       --benchmark_min_time=0.01
     ./bench_serve --tiny
     ./bench_stream --tiny

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -37,20 +38,30 @@ QuantileSketch::QuantileSketch(double alpha) : alpha_(alpha) {
   if (!(alpha > 0.0 && alpha < 1.0)) {
     throw std::invalid_argument("QuantileSketch: alpha must be in (0, 1)");
   }
-  log_gamma_ = std::log((1.0 + alpha) / (1.0 - alpha));
+  log_gamma_ = log_gamma_of(alpha);
 }
 
-int QuantileSketch::bucket_index(double value) const {
-  return static_cast<int>(std::ceil(std::log(value) / log_gamma_));
+double QuantileSketch::log_gamma_of(double alpha) {
+  return std::log((1.0 + alpha) / (1.0 - alpha));
+}
+
+std::optional<int> QuantileSketch::bucket_of(double log_gamma, double value) {
+  if (!(value > kMinTrackable)) return std::nullopt;
+  // Every finite double lands far inside int range; +inf, whose index does
+  // not, is clamped to the top bucket rather than converted out of range.
+  const double index = std::ceil(std::log(value) / log_gamma);
+  return static_cast<int>(
+      std::min(index, static_cast<double>(std::numeric_limits<int>::max())));
 }
 
 void QuantileSketch::add(double value) {
+  const std::optional<int> bucket = bucket_of(log_gamma_, value);
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!(value > kMinTrackable)) {
+  if (!bucket) {
     ++underflow_;
     return;
   }
-  ++buckets_[bucket_index(value)];
+  ++buckets_[*bucket];
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
@@ -134,7 +145,7 @@ double QuantileSketch::quantile_of(
   if (cumulative >= target) return 0.0;
   // Same gamma derivation as the constructor, so results are bit-identical
   // to restore() + quantile() at the same alpha.
-  const double gamma = std::exp(std::log((1.0 + alpha) / (1.0 - alpha)));
+  const double gamma = std::exp(log_gamma_of(alpha));
   for (const auto& [index, count] : buckets) {
     cumulative += count;
     if (cumulative >= target) {

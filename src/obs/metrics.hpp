@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -65,7 +66,9 @@ class Gauge {
 /// sketches with the same alpha is exact (bucket counts add).
 class QuantileSketch {
  public:
-  explicit QuantileSketch(double alpha = 0.01);
+  static constexpr double kDefaultAlpha = 0.01;
+
+  explicit QuantileSketch(double alpha = kDefaultAlpha);
 
   void add(double value);
   void merge(const QuantileSketch& other);
@@ -95,9 +98,18 @@ class QuantileSketch {
       double alpha, const std::vector<std::pair<int, std::uint64_t>>& buckets,
       std::uint64_t underflow, double q);
 
- private:
-  [[nodiscard]] int bucket_index(double value) const;
+  /// log(gamma) for `alpha`: the bucket growth every sketch method derives.
+  [[nodiscard]] static double log_gamma_of(double alpha);
 
+  /// The bucket add() counts `value` in, for a sketch whose log(gamma) is
+  /// `log_gamma`: its index (+inf takes the top one, INT_MAX), or nullopt
+  /// for the underflow bucket (values <= kMinTrackable, and NaN). Code that
+  /// folds sketch state without a sketch object (tsdb range windows)
+  /// buckets through this too.
+  [[nodiscard]] static std::optional<int> bucket_of(double log_gamma,
+                                                    double value);
+
+ private:
   double alpha_;
   double log_gamma_;
   mutable std::mutex mutex_;

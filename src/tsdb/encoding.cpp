@@ -1,5 +1,6 @@
 #include "tsdb/encoding.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -10,32 +11,40 @@ namespace {
 
 // -- bit stream ---------------------------------------------------------------
 
+/// MSB-first bit packer: bits gather in a 64-bit accumulator and leave it
+/// a whole byte at a time.
 class BitWriter {
  public:
   explicit BitWriter(std::string& out) : out_(out) {}
 
-  void write_bit(bool bit) {
-    if (fill_ == 0) {
-      out_.push_back('\0');
-      fill_ = 8;
+  void write_bit(bool bit) { write_bits(bit ? 1 : 0, 1); }
+
+  /// Write the low `bits` (1..64) bits of `value`, most significant first.
+  void write_bits(std::uint64_t value, unsigned bits) {
+    if (bits > 32) {
+      write_bits(value >> 32, bits - 32);
+      bits = 32;
     }
-    if (bit) {
-      out_.back() = static_cast<char>(
-          static_cast<unsigned char>(out_.back()) | (1u << (fill_ - 1)));
+    // At most 7 pending bits plus 32 new ones: the accumulator never drops a
+    // bit that has not been written out.
+    pending_ = (pending_ << bits) | (value & ((std::uint64_t{1} << bits) - 1));
+    fill_ += bits;
+    while (fill_ >= 8) {
+      fill_ -= 8;
+      out_.push_back(static_cast<char>(pending_ >> fill_));
     }
-    --fill_;
   }
 
-  /// Write the low `bits` bits of `value`, most significant first.
-  void write_bits(std::uint64_t value, unsigned bits) {
-    for (unsigned i = bits; i > 0; --i) {
-      write_bit(((value >> (i - 1)) & 1u) != 0);
-    }
+  /// Pad the last partial byte with zero bits and write it out.
+  void flush() {
+    if (fill_ > 0) out_.push_back(static_cast<char>(pending_ << (8 - fill_)));
+    fill_ = 0;
   }
 
  private:
   std::string& out_;
-  unsigned fill_ = 0;  ///< unused low bits in out_.back()
+  std::uint64_t pending_ = 0;  ///< low `fill_` bits are not yet written
+  unsigned fill_ = 0;
 };
 
 // -- byte-aligned header helpers ----------------------------------------------
@@ -86,29 +95,26 @@ std::uint64_t get_u64le(const unsigned char* data) {
   return value;
 }
 
-// dod bucket widths: {'10', 7}, {'110', 9}, {'1110', 12}, {'1111', 64}.
-// The k-bit buckets store dod + 2^(k-1) (biased), covering
-// [-2^(k-1), 2^(k-1) - 1].
-constexpr std::int64_t kBias7 = 1ll << 6;
-constexpr std::int64_t kBias9 = 1ll << 8;
-constexpr std::int64_t kBias12 = 1ll << 11;
+// dod buckets 1..3 are k ones, a zero, then dod + 2^(width-1) in `width`
+// bits ('10'+7b, '110'+9b, '1110'+12b), covering [-2^(width-1),
+// 2^(width-1) - 1]; '0' is dod == 0 and '1111'+64b a zigzag escape.
+constexpr unsigned kDodWidth[] = {0, 7, 9, 12};
 
 void write_dod(BitWriter& writer, std::int64_t dod) {
   if (dod == 0) {
     writer.write_bit(false);
-  } else if (dod >= -kBias7 && dod < kBias7) {
-    writer.write_bits(0b10, 2);
-    writer.write_bits(static_cast<std::uint64_t>(dod + kBias7), 7);
-  } else if (dod >= -kBias9 && dod < kBias9) {
-    writer.write_bits(0b110, 3);
-    writer.write_bits(static_cast<std::uint64_t>(dod + kBias9), 9);
-  } else if (dod >= -kBias12 && dod < kBias12) {
-    writer.write_bits(0b1110, 4);
-    writer.write_bits(static_cast<std::uint64_t>(dod + kBias12), 12);
-  } else {
-    writer.write_bits(0b1111, 4);
-    writer.write_bits(zigzag(dod), 64);
+    return;
   }
+  for (unsigned k = 1; k < 4; ++k) {
+    const std::int64_t bias = std::int64_t{1} << (kDodWidth[k] - 1);
+    if (dod >= -bias && dod < bias) {
+      writer.write_bits((std::uint64_t{1} << (k + 1)) - 2, k + 1);
+      writer.write_bits(static_cast<std::uint64_t>(dod + bias), kDodWidth[k]);
+      return;
+    }
+  }
+  writer.write_bits(0b1111, 4);
+  writer.write_bits(zigzag(dod), 64);
 }
 
 }  // namespace
@@ -163,6 +169,7 @@ std::string encode_chunk(std::span<const Sample> samples) {
         prev_length = length;
       }
     }
+    writer.flush();
   }
   put_u64le(out, util::fnv1a64({out.data(), out.size()}));
   return out;
@@ -221,36 +228,54 @@ ChunkCursor::ChunkCursor(std::string_view bytes) {
   bit_count_ = (payload.size() - cursor) * 8;
 }
 
-bool ChunkCursor::read_bit() {
-  if (bit_cursor_ >= bit_count_) {
-    throw ChunkCorruptError("bit stream exhausted (truncated chunk)");
+// The stream is read a 64-bit word at a time: refill() loads the eight
+// bytes from the one holding bit_cursor_. Those loads may reach past the
+// bit stream into the chunk's trailing 8-byte checksum, but never past the
+// chunk: bit_cursor_ never exceeds bit_count_, so the load starts at most at
+// the payload's end and ends at most 8 bytes later, at the chunk's end.
+// Bits loaded past bit_count_ are never accepted, because read_bits checks
+// every field against the bits that remain before consuming it.
+void ChunkCursor::refill() noexcept {
+  std::uint64_t word = 0;
+  std::memcpy(&word, data_ + bit_cursor_ / 8, sizeof word);
+  if constexpr (std::endian::native == std::endian::little) {
+    word = __builtin_bswap64(word);
   }
-  const bool bit =
-      (data_[bit_cursor_ / 8] >> (7 - (bit_cursor_ % 8)) & 1u) != 0;
-  ++bit_cursor_;
-  return bit;
+  const auto consumed = static_cast<unsigned>(bit_cursor_ % 8);
+  word_ = word << consumed;
+  buffered_ = 64 - consumed;
 }
 
-std::uint64_t ChunkCursor::read_bits(unsigned bits) {
-  std::uint64_t value = 0;
-  for (unsigned i = 0; i < bits; ++i) {
-    value = (value << 1) | (read_bit() ? 1u : 0u);
-  }
+[[gnu::always_inline]] inline std::uint64_t ChunkCursor::take(
+    unsigned bits) noexcept {
+  if (bits > buffered_) refill();
+  const std::uint64_t value = word_ >> (64 - bits);
+  word_ <<= bits;
+  buffered_ -= bits;
+  bit_cursor_ += bits;
   return value;
 }
 
-std::int64_t ChunkCursor::read_dod() {
-  if (!read_bit()) return 0;
-  if (!read_bit()) {
-    return static_cast<std::int64_t>(read_bits(7)) - kBias7;
+namespace {
+
+/// Out of line, so the reads that may throw stay small enough to inline.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_corrupt(const char* what) {
+  throw ChunkCorruptError(what);
+}
+
+}  // namespace
+
+[[gnu::always_inline]] inline std::uint64_t ChunkCursor::read_bits(
+    unsigned bits) {
+  if (bits > bit_count_ - bit_cursor_) [[unlikely]] {
+    throw_corrupt("bit stream exhausted (truncated chunk)");
   }
-  if (!read_bit()) {
-    return static_cast<std::int64_t>(read_bits(9)) - kBias9;
+  // A refill guarantees 57 loaded bits; wider fields take two.
+  if (bits > 57) [[unlikely]] {
+    const std::uint64_t high = take(32);
+    return (high << (bits - 32)) | take(bits - 32);
   }
-  if (!read_bit()) {
-    return static_cast<std::int64_t>(read_bits(12)) - kBias12;
-  }
-  return unzigzag(read_bits(64));
+  return take(bits);
 }
 
 bool ChunkCursor::next(Sample& out) {
@@ -260,23 +285,53 @@ bool ChunkCursor::next(Sample& out) {
     out = {t_, std::bit_cast<double>(value_bits_)};
     return true;
   }
-  const std::int64_t dod = read_dod();
-  const std::int64_t delta = delta_ + dod;
+  // dod: the run of leading ones (at most 4) names the bucket, and the
+  // prefix plus its biased payload is read as one field.
+  if (buffered_ < 4) refill();
+  const int ones = std::min(std::countl_one(word_), 4);
+  std::int64_t dod = 0;
+  if (ones == 0) {
+    (void)read_bits(1);
+  } else if (ones < 4) {
+    const unsigned width = kDodWidth[ones];
+    const std::uint64_t field =
+        read_bits(static_cast<unsigned>(ones) + 1 + width) &
+        ((std::uint64_t{1} << width) - 1);
+    dod = static_cast<std::int64_t>(field) - (std::int64_t{1} << (width - 1));
+  } else {
+    (void)read_bits(4);
+    dod = unzigzag(read_bits(64));
+  }
+  // Wrapping adds: a corrupt 64-bit escape may overflow, which is then
+  // rejected as a negative delta or yields a wrapped, still defined, t.
+  const auto delta = static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(delta_) + static_cast<std::uint64_t>(dod));
   if (delta < 0) {
     throw ChunkCorruptError("decoded negative timestamp delta");
   }
   delta_ = delta;
-  t_ += delta;
+  t_ = static_cast<std::int64_t>(static_cast<std::uint64_t>(t_) +
+                                 static_cast<std::uint64_t>(delta));
 
-  if (read_bit()) {
-    if (read_bit()) {
-      leading_ = static_cast<unsigned>(read_bits(6));
-      window_length_ = static_cast<unsigned>(read_bits(6)) + 1;
+  // value: '0' repeats it; '10' reuses the window; '11' + 6b leading + 6b
+  // (length - 1) opens a new one. Both control bits are peeked at once.
+  if (buffered_ < 2) refill();
+  const auto control = static_cast<unsigned>(word_ >> 62);
+  if (control < 0b10) {
+    (void)read_bits(1);
+  } else {
+    if (control == 0b11) {
+      const std::uint64_t header = read_bits(14);
+      leading_ = static_cast<unsigned>(header >> 6) & 63;
+      window_length_ = static_cast<unsigned>(header & 63) + 1;
       if (leading_ + window_length_ > 64) {
         throw ChunkCorruptError("xor window exceeds 64 bits");
       }
-    } else if (window_length_ == 0) {
-      throw ChunkCorruptError("window reuse before any window");
+    } else {
+      (void)read_bits(2);
+      if (window_length_ == 0) {
+        throw ChunkCorruptError("window reuse before any window");
+      }
     }
     const std::uint64_t window = read_bits(window_length_);
     value_bits_ ^= window << (64 - leading_ - window_length_);
@@ -289,13 +344,12 @@ bool ChunkCursor::next(Sample& out) {
 void ChunkCursor::expect_end() {
   // Only zero padding may remain — a '1' bit here means the stream and the
   // declared count disagree.
-  if (bit_count_ - bit_cursor_ >= 8) {
+  const std::size_t left = bit_count_ - bit_cursor_;
+  if (left >= 8) {
     throw ChunkCorruptError("trailing bytes after last sample");
   }
-  while (bit_cursor_ < bit_count_) {
-    if (read_bit()) {
-      throw ChunkCorruptError("nonzero padding after last sample");
-    }
+  if (left > 0 && read_bits(static_cast<unsigned>(left)) != 0) {
+    throw ChunkCorruptError("nonzero padding after last sample");
   }
 }
 

@@ -83,13 +83,23 @@ class ChunkCursor {
   void expect_end();
 
  private:
-  [[nodiscard]] bool read_bit();
-  [[nodiscard]] std::uint64_t read_bits(unsigned bits);
-  [[nodiscard]] std::int64_t read_dod();
+  // take() and read_bits() are inline, defined in encoding.cpp: only
+  // next() and expect_end() there call them, once or more per sample.
+  void refill() noexcept;
+  /// The next `bits` (1..57) bits, unchecked: the caller made sure they
+  /// remain.
+  [[nodiscard]] inline std::uint64_t take(unsigned bits) noexcept;
+  /// The next `bits` (1..64) bits as one field, most significant first.
+  /// Throws ChunkCorruptError if fewer than `bits` remain.
+  [[nodiscard]] inline std::uint64_t read_bits(unsigned bits);
 
   const unsigned char* data_ = nullptr;  ///< start of the post-header bits
   std::size_t bit_count_ = 0;
   std::size_t bit_cursor_ = 0;
+  /// The stream from bit_cursor_ on, most significant bit first; the top
+  /// `buffered_` bits are loaded, the rest are zero.
+  std::uint64_t word_ = 0;
+  unsigned buffered_ = 0;
   std::uint64_t count_ = 0;
   std::uint64_t emitted_ = 0;
   std::int64_t t_ = 0;

@@ -274,7 +274,7 @@ void TimeSeriesStore::append(std::string_view key, std::int64_t t_ms,
   }
   it->second.push_back({t_ms, value});
   ++head_samples_;
-  ++version_;
+  version_.fetch_add(1, std::memory_order_release);
   if (appends_ != nullptr) appends_->add();
   if (head_samples_gauge_ != nullptr) {
     head_samples_gauge_->set(static_cast<double>(head_samples_));
@@ -330,7 +330,7 @@ void TimeSeriesStore::seal_locked(std::int64_t boundary) {
     if (seals_ != nullptr) seals_->add();
   }
   sealed_until_ = boundary;
-  ++version_;
+  version_.fetch_add(1, std::memory_order_release);
 }
 
 void TimeSeriesStore::compact_locked() {
@@ -397,7 +397,7 @@ void TimeSeriesStore::compact_locked() {
       }
       segments_.push_back(outputs[i]);
       progressed = true;
-      ++version_;
+      version_.fetch_add(1, std::memory_order_release);
       if (compactions_ != nullptr) compactions_->add();
     }
     std::sort(segments_.begin(), segments_.end(),
@@ -415,7 +415,7 @@ void TimeSeriesStore::retain_locked(std::int64_t frontier) {
     if ((*it)->max_t < horizon) {
       doomed_files_.push_back(segment_path((*it)->id));
       it = segments_.erase(it);
-      ++version_;
+      version_.fetch_add(1, std::memory_order_release);
       if (retention_drops_ != nullptr) retention_drops_->add();
     } else {
       ++it;
@@ -502,18 +502,32 @@ std::vector<RangePoint> TimeSeriesStore::range(const RangeQuery& query) const {
   struct WindowAgg {
     std::uint64_t count = 0;
     double sum = 0.0;
-    std::unique_ptr<obs::QuantileSketch> sketch;
+    std::uint64_t underflow = 0;  ///< kPercentile: samples in the underflow
   };
   std::vector<WindowAgg> aggs(static_cast<std::size_t>(windows));
+  // kPercentile folds each window's sketch state without building a sketch:
+  // one (window, bucket) key per bucketed sample, sorted below so every
+  // window's buckets come out as one ascending run.
+  const bool percentile = query.agg == RangeAgg::kPercentile;
+  const double log_gamma =
+      obs::QuantileSketch::log_gamma_of(obs::QuantileSketch::kDefaultAlpha);
+  std::vector<std::uint64_t> bucketed;
   const auto fold = [&](const Sample& sample) {
     if (sample.t_ms < query.t0_ms || sample.t_ms >= query.t1_ms) return;
-    auto& agg = aggs[static_cast<std::size_t>(
-        (sample.t_ms - query.t0_ms) / query.window_ms)];
+    const auto w = static_cast<std::uint64_t>((sample.t_ms - query.t0_ms) /
+                                              query.window_ms);
+    auto& agg = aggs[w];
     ++agg.count;
     agg.sum += sample.value;
-    if (query.agg == RangeAgg::kPercentile) {
-      if (!agg.sketch) agg.sketch = std::make_unique<obs::QuantileSketch>();
-      agg.sketch->add(sample.value);
+    if (percentile) {
+      if (const auto bucket =
+              obs::QuantileSketch::bucket_of(log_gamma, sample.value)) {
+        // Flip the sign bit so unsigned order is signed bucket order.
+        bucketed.push_back(w << 32 |
+                           (static_cast<std::uint32_t>(*bucket) ^ 0x80000000u));
+      } else {
+        ++agg.underflow;
+      }
     }
   };
   // Stream chunk-by-chunk: one Sample at a time through the cursor, folded
@@ -530,9 +544,12 @@ std::vector<RangePoint> TimeSeriesStore::range(const RangeQuery& query) const {
     while (cursor.next(sample)) fold(sample);
   }
   for (const Sample& sample : head_slice) fold(sample);
+  std::sort(bucketed.begin(), bucketed.end());
 
   std::vector<RangePoint> points;
   points.reserve(aggs.size());
+  std::vector<std::pair<int, std::uint64_t>> buckets;  // one window's, reused
+  auto next_bucketed = bucketed.begin();
   for (std::size_t w = 0; w < aggs.size(); ++w) {
     RangePoint point;
     point.t_ms = query.t0_ms + static_cast<std::int64_t>(w) * query.window_ms;
@@ -546,7 +563,19 @@ std::vector<RangePoint> TimeSeriesStore::range(const RangeQuery& query) const {
           point.value = aggs[w].sum / static_cast<double>(aggs[w].count);
           break;
         case RangeAgg::kPercentile:
-          point.value = aggs[w].sketch->quantile(query.pct / 100.0);
+          buckets.clear();
+          for (; next_bucketed != bucketed.end() && (*next_bucketed >> 32) == w;
+               ++next_bucketed) {
+            const auto bucket = static_cast<int>(
+                static_cast<std::uint32_t>(*next_bucketed) ^ 0x80000000u);
+            if (buckets.empty() || buckets.back().first != bucket) {
+              buckets.emplace_back(bucket, 0);
+            }
+            ++buckets.back().second;
+          }
+          point.value = obs::QuantileSketch::quantile_of(
+              obs::QuantileSketch::kDefaultAlpha, buckets, aggs[w].underflow,
+              query.pct / 100.0);
           break;
       }
     }
@@ -576,8 +605,7 @@ double TimeSeriesStore::drift(std::string_view key, std::int64_t now_ms,
 // -- introspection ------------------------------------------------------------
 
 std::uint64_t TimeSeriesStore::version() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return version_;
+  return version_.load(std::memory_order_acquire);
 }
 
 std::int64_t TimeSeriesStore::sealed_until() const {

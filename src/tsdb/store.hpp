@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -120,7 +121,8 @@ class TimeSeriesStore {
 
   /// Generation counter, bumped by every mutation (append/seal/compact/
   /// retention) — serve folds it into range cache keys so cached answers
-  /// never outlive the data they summarize.
+  /// never outlive the data they summarize. One atomic load: reading it
+  /// takes no lock.
   [[nodiscard]] std::uint64_t version() const;
 
   /// Everything before this virtual time lives in immutable segments.
@@ -182,7 +184,8 @@ class TimeSeriesStore {
   std::vector<std::shared_ptr<const Segment>> segments_;
   std::int64_t sealed_until_ = 0;
   std::uint64_t next_id_ = 1;
-  std::uint64_t version_ = 0;
+  /// Bumped only under mutex_; version() reads it without the lock.
+  std::atomic<std::uint64_t> version_{0};
   std::ofstream wal_;
   /// Files dropped by compaction/retention this advance; unlinked only
   /// after the manifest stops referencing them (crash-ordering invariant).

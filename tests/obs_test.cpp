@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -84,6 +85,28 @@ TEST(QuantileSketch, QuantilesWithinRelativeError) {
     const double exact = q * 10'000.0;
     EXPECT_NEAR(sketch.quantile(q), exact, exact * 0.03) << "q=" << q;
   }
+}
+
+TEST(QuantileSketch, BucketOfSendsEdgeValuesWhereAddCounts) {
+  const double log_gamma = QuantileSketch::log_gamma_of(0.01);
+  for (const double low : {0.0, -0.0, -5.0, 1e-9, std::nan("")}) {
+    EXPECT_FALSE(QuantileSketch::bucket_of(log_gamma, low)) << low;
+  }
+  EXPECT_TRUE(QuantileSketch::bucket_of(log_gamma, 1.1e-9));
+  EXPECT_EQ(QuantileSketch::bucket_of(log_gamma, 1.0), 0);
+  // +inf takes the top bucket, so it ranks above every finite value.
+  EXPECT_EQ(QuantileSketch::bucket_of(log_gamma,
+                                      std::numeric_limits<double>::infinity()),
+            std::numeric_limits<int>::max());
+  QuantileSketch sketch(0.01);
+  sketch.add(0.0);
+  sketch.add(std::nan(""));
+  sketch.add(40.0);
+  sketch.add(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(sketch.underflow(), 2u);
+  EXPECT_EQ(sketch.quantile(0.5), 0.0);
+  EXPECT_NEAR(sketch.quantile(0.75), 40.0, 0.4);
+  EXPECT_EQ(sketch.quantile(1.0), std::numeric_limits<double>::infinity());
 }
 
 TEST(QuantileSketch, MergeMatchesCombinedStream) {
