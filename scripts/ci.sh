@@ -38,7 +38,10 @@
 #                crash-during-compaction recovery sweep (`tero_cli tsdb
 #                verify` — acknowledged samples must survive any injected
 #                crash, and reopening a torn directory must reproduce the
-#                pre-crash dataset digest).
+#                pre-crash dataset digest), and a range-answer pin: one
+#                checksum over `tero_cli query range` outputs (two keys,
+#                count/mean/p50/p99/drift, daily and hourly windows) from a
+#                fixed `stream --tsdb-dir` run.
 #   control-smoke  Overload-resilience gate (DESIGN.md §16): the
 #                control-labeled test suite (ctest -L control),
 #                bench_control --tiny with a JSON parse check plus awk
@@ -242,7 +245,30 @@ run_tsdb_smoke() {
   # nonzero if any acknowledged sample is lost, the recovered digest
   # diverges, or the 1-vs-8-thread schedules disagree.
   ./build/examples/tero_cli tsdb verify 10 --threads 8
-  echo "tsdb-smoke: compression, determinism and crash-recovery gates held"
+  # Range-answer pin: everything `query range` prints for a fixed stream
+  # run is folded into one checksum, so a change to a range answer that
+  # shows at the CLI's two printed decimals fails here. Bit-level equality
+  # is checked by tsdb_test and obs_test, not by this pin.
+  local pin_dir=build/tsdb-smoke-range
+  rm -rf "$pin_dir" && mkdir -p "$pin_dir"
+  ./build/examples/tero_cli stream 60 7 4 --snapshot-out "$pin_dir/snap.tkv" \
+    --tsdb-dir "$pin_dir/tsdb" > /dev/null
+  local key agg window range_sum
+  range_sum=$(
+    for key in "Among Us|Costa Rica" "Call of Duty Warzone|United Kingdom"; do
+      for agg in count mean p50 p99 drift; do
+        for window in 86400000 3600000; do
+          ./build/examples/tero_cli query "$pin_dir/snap.tkv" range \
+            "${key%%|*}" "${key#*|}" --tsdb-dir "$pin_dir/tsdb" \
+            --agg "$agg" --window "$window"
+        done
+      done
+    done | sha256sum | cut -c1-16)
+  if [ "$range_sum" != "9d9f7328b77a9d6e" ]; then
+    echo "tsdb-smoke: range answers checksum $range_sum, want 9d9f7328b77a9d6e"
+    exit 1
+  fi
+  echo "tsdb-smoke: compression, determinism, crash-recovery and range-answer gates held"
 }
 
 run_chaos_smoke() {

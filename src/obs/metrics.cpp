@@ -32,6 +32,30 @@ std::string fmt_json_number(double value) {
   return buffer;
 }
 
+/// The rank walk behind QuantileSketch::quantile() and quantile_of():
+/// `buckets` iterates (index, count) pairs in ascending index order.
+template <typename Buckets>
+double walk_ranks(double gamma, const Buckets& buckets,
+                  std::uint64_t underflow, double q) {
+  std::uint64_t total = underflow;
+  for (const auto& [index, count] : buckets) total += count;
+  if (total == 0) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  const auto target = static_cast<std::uint64_t>(
+      std::ceil(q * static_cast<double>(total)));
+  std::uint64_t cumulative = underflow;
+  if (cumulative >= target) return 0.0;
+  int at = 0;
+  for (const auto& [index, count] : buckets) {
+    at = index;
+    cumulative += count;
+    if (cumulative >= target) break;
+  }
+  // Midpoint of (gamma^(i-1), gamma^i] — the estimate that bounds the
+  // relative error by alpha.
+  return 2.0 * std::pow(gamma, at) / (gamma + 1.0);
+}
+
 }  // namespace
 
 QuantileSketch::QuantileSketch(double alpha) : alpha_(alpha) {
@@ -43,6 +67,10 @@ QuantileSketch::QuantileSketch(double alpha) : alpha_(alpha) {
 
 double QuantileSketch::log_gamma_of(double alpha) {
   return std::log((1.0 + alpha) / (1.0 - alpha));
+}
+
+double QuantileSketch::gamma_of(double alpha) {
+  return std::exp(log_gamma_of(alpha));
 }
 
 std::optional<int> QuantileSketch::bucket_of(double log_gamma, double value) {
@@ -112,47 +140,15 @@ std::uint64_t QuantileSketch::count() const {
 
 double QuantileSketch::quantile(double q) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t total = underflow_;
-  for (const auto& [index, count] : buckets_) total += count;
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total)));
-  std::uint64_t cumulative = underflow_;
-  if (cumulative >= target) return 0.0;
-  const double gamma = std::exp(log_gamma_);
-  for (const auto& [index, count] : buckets_) {
-    cumulative += count;
-    if (cumulative >= target) {
-      // Midpoint of (gamma^(i-1), gamma^i] — the estimate that bounds the
-      // relative error by alpha.
-      return 2.0 * std::pow(gamma, index) / (gamma + 1.0);
-    }
-  }
-  return 2.0 * std::pow(gamma, buckets_.rbegin()->first) / (gamma + 1.0);
+  // exp(log_gamma_) is gamma_of(alpha_), so quantile_of() at the same alpha
+  // is bit-identical.
+  return walk_ranks(std::exp(log_gamma_), buckets_, underflow_, q);
 }
 
 double QuantileSketch::quantile_of(
-    double alpha, const std::vector<std::pair<int, std::uint64_t>>& buckets,
+    double gamma, const std::vector<std::pair<int, std::uint64_t>>& buckets,
     std::uint64_t underflow, double q) {
-  std::uint64_t total = underflow;
-  for (const auto& [index, count] : buckets) total += count;
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total)));
-  std::uint64_t cumulative = underflow;
-  if (cumulative >= target) return 0.0;
-  // Same gamma derivation as the constructor, so results are bit-identical
-  // to restore() + quantile() at the same alpha.
-  const double gamma = std::exp(log_gamma_of(alpha));
-  for (const auto& [index, count] : buckets) {
-    cumulative += count;
-    if (cumulative >= target) {
-      return 2.0 * std::pow(gamma, index) / (gamma + 1.0);
-    }
-  }
-  return 2.0 * std::pow(gamma, buckets.back().first) / (gamma + 1.0);
+  return walk_ranks(gamma, buckets, underflow, q);
 }
 
 Histogram::Histogram(std::vector<double> bounds)

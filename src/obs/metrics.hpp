@@ -92,14 +92,17 @@ class QuantileSketch {
 
   /// Quantile computed straight from exported state — `buckets` must be in
   /// ascending index order, exactly as export_buckets() returns. Equivalent
-  /// to restore() + quantile() on a scratch sketch with the same `alpha`,
-  /// without building one (the timeline's windowed-quantile hot path).
+  /// to restore() + quantile() on a scratch sketch whose alpha has
+  /// gamma_of(alpha) == `gamma`, without building one (the timeline's and
+  /// the tsdb's windowed-quantile hot paths, which derive gamma once).
   [[nodiscard]] static double quantile_of(
-      double alpha, const std::vector<std::pair<int, std::uint64_t>>& buckets,
+      double gamma, const std::vector<std::pair<int, std::uint64_t>>& buckets,
       std::uint64_t underflow, double q);
 
   /// log(gamma) for `alpha`: the bucket growth every sketch method derives.
   [[nodiscard]] static double log_gamma_of(double alpha);
+  /// gamma itself, exp(log_gamma_of(alpha)): what quantile_of() takes.
+  [[nodiscard]] static double gamma_of(double alpha);
 
   /// The bucket add() counts `value` in, for a sketch whose log(gamma) is
   /// `log_gamma`: its index (+inf takes the top one, INT_MAX), or nullopt

@@ -77,7 +77,8 @@ void MetricsTimeline::refresh_series_cache(std::uint64_t epoch) {
     const auto [it, inserted] = hist_ids_.try_emplace(name, hist_ids_.size());
     if (inserted) {
       hist_meta_.push_back(
-          HistMeta{histogram->sketch().alpha(), histogram->bounds()});
+          HistMeta{QuantileSketch::gamma_of(histogram->sketch().alpha()),
+                   histogram->bounds()});
     }
     cached_hists_.emplace_back(it->second, histogram);
   }
@@ -242,7 +243,7 @@ double MetricsTimeline::quantile(std::string_view histogram_name, double q,
     window = &diff;
   }
   if (window->empty() && underflow == 0) return 0.0;
-  return QuantileSketch::quantile_of(hist_meta_[id].alpha, *window, underflow,
+  return QuantileSketch::quantile_of(hist_meta_[id].gamma, *window, underflow,
                                      q);
 }
 

@@ -140,7 +140,7 @@ class MetricsTimeline {
     std::vector<HistPoint> hists;
   };
   struct HistMeta {
-    double alpha = 0.0;           ///< sketch alpha, for reconstruction
+    double gamma = 0.0;           ///< sketch gamma_of(alpha), for quantile_of
     std::vector<double> bounds;   ///< fixed bucket bounds, for exposition
   };
 

@@ -491,10 +491,11 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
     }
     shard.breaker->on_success();
   }
-  const std::size_t depth =
-      shard.inflight.fetch_add(1, std::memory_order_relaxed) + 1;
+  // The depth gauge is inflight's only reader: with metrics off, skip both
+  // read-modify-writes on the shared line.
   if (shard.depth_gauge != nullptr) {
-    shard.depth_gauge->set(static_cast<double>(depth));
+    shard.depth_gauge->set(static_cast<double>(
+        shard.inflight.fetch_add(1, std::memory_order_relaxed) + 1));
   }
 
   // Snapshot kinds read immutable, pre-sorted values in O(1) or O(log n):
@@ -507,7 +508,9 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
     not_found_counter_->add();
   }
 
-  shard.inflight.fetch_sub(1, std::memory_order_relaxed);
+  if (shard.depth_gauge != nullptr) {
+    shard.inflight.fetch_sub(1, std::memory_order_relaxed);
+  }
   return response;
 }
 

@@ -271,8 +271,8 @@ class QueryService {
   struct Shard {
     mutable std::mutex mutex;
     LruCache<QueryResponse> cache;  ///< range answers only (guarded by mutex)
-    /// Queries currently inside this shard (admitted, not yet answered) —
-    /// exported as the per-shard queue-depth gauge.
+    /// Queries currently inside this shard (admitted, not yet answered).
+    /// depth_gauge is its only reader, so it is counted only with metrics on.
     std::atomic<std::uint64_t> inflight{0};
     /// Per-shard labeled series (null when metrics are off):
     /// tero.serve.cache_hits{shard=shard-i}, the matching misses, and the

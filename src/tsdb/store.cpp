@@ -511,6 +511,8 @@ std::vector<RangePoint> TimeSeriesStore::range(const RangeQuery& query) const {
   const bool percentile = query.agg == RangeAgg::kPercentile;
   const double log_gamma =
       obs::QuantileSketch::log_gamma_of(obs::QuantileSketch::kDefaultAlpha);
+  const double gamma =
+      obs::QuantileSketch::gamma_of(obs::QuantileSketch::kDefaultAlpha);
   std::vector<std::uint64_t> bucketed;
   const auto fold = [&](const Sample& sample) {
     if (sample.t_ms < query.t0_ms || sample.t_ms >= query.t1_ms) return;
@@ -574,8 +576,7 @@ std::vector<RangePoint> TimeSeriesStore::range(const RangeQuery& query) const {
             ++buckets.back().second;
           }
           point.value = obs::QuantileSketch::quantile_of(
-              obs::QuantileSketch::kDefaultAlpha, buckets, aggs[w].underflow,
-              query.pct / 100.0);
+              gamma, buckets, aggs[w].underflow, query.pct / 100.0);
           break;
       }
     }

@@ -109,6 +109,26 @@ TEST(QuantileSketch, BucketOfSendsEdgeValuesWhereAddCounts) {
   EXPECT_EQ(sketch.quantile(1.0), std::numeric_limits<double>::infinity());
 }
 
+TEST(QuantileSketch, QuantileOfMatchesQuantileBitForBit) {
+  const double gamma = QuantileSketch::gamma_of(QuantileSketch::kDefaultAlpha);
+  EXPECT_EQ(QuantileSketch::quantile_of(gamma, {}, 0, 0.5), 0.0);
+  QuantileSketch sketch;
+  sketch.add(0.0);
+  sketch.add(-3.0);
+  for (int i = 1; i <= 500; ++i) sketch.add(0.37 * i * i);
+  const auto buckets = sketch.export_buckets();
+  for (const double q : {-0.5, 0.0, 0.001, 0.004, 0.25, 0.5, 0.9, 0.99, 1.0,
+                         1.5}) {
+    // Exact equality: both walk the same ranks with the same gamma.
+    EXPECT_EQ(QuantileSketch::quantile_of(gamma, buckets, sketch.underflow(),
+                                          q),
+              sketch.quantile(q))
+        << "q=" << q;
+  }
+  // The top rank lands on the highest bucket, not past it.
+  EXPECT_NEAR(sketch.quantile(1.0), 0.37 * 500 * 500, 0.37 * 500 * 500 * 0.01);
+}
+
 TEST(QuantileSketch, MergeMatchesCombinedStream) {
   QuantileSketch a(0.01);
   QuantileSketch b(0.01);

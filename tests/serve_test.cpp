@@ -871,4 +871,158 @@ TEST(QueryServiceTest, DefaultServiceMatchesUncachedService) {
 }
 
 }  // namespace
+TEST(QueryServiceTest, RangeAnswerStableAcrossSealAndCompaction) {
+  constexpr std::int64_t kDayMs = 86'400'000;
+  tsdb::TsdbConfig tsdb_config;
+  tsdb_config.compact_fanin = 2;
+  tsdb_config.retention_ms = 3 * kDayMs;
+  tsdb::TimeSeriesStore store(tsdb_config);
+  geo::Location de;
+  de.country = "DE";
+  const std::string key = entry_key(de, "lol");
+  for (std::int64_t day = 0; day < 2; ++day) {
+    for (std::int64_t hour = 0; hour < 24; ++hour) {
+      store.append(key, day * kDayMs + hour * 3'600'000,
+                   30.0 + static_cast<double>(day * 24 + hour));
+    }
+  }
+
+  ServeConfig config;
+  config.tsdb = &store;
+  QueryService service(config);
+  service.publish(three_entries());
+
+  Query query;
+  query.location = de;
+  query.game = "lol";
+  query.t0_ms = 0;
+  query.t1_ms = 2 * kDayMs;
+  query.window_ms = kDayMs;
+  const std::vector<QueryKind> kinds = {
+      QueryKind::kRangeCount, QueryKind::kRangeMean, QueryKind::kRangePercentile};
+  const auto hashes = [&] {
+    std::vector<std::uint64_t> out;
+    for (const QueryKind kind : kinds) {
+      query.kind = kind;
+      query.param = kind == QueryKind::kRangePercentile ? 90.0 : 0.0;
+      const QueryResponse response = service.query(query);
+      EXPECT_EQ(response.status, QueryStatus::kOk);
+      out.push_back(hash_response(0, response));
+    }
+    return out;
+  };
+
+  // Head only, then one sealed day, then two sealed days merged by
+  // compaction: the samples move between tiers, the answers do not.
+  const auto head = hashes();
+  store.advance_to(kDayMs);
+  EXPECT_EQ(store.stats().head_samples, 24u);
+  EXPECT_EQ(hashes(), head);
+  store.advance_to(2 * kDayMs);
+  EXPECT_EQ(store.stats().head_samples, 0u);
+  EXPECT_EQ(store.stats().segments, 1u);
+  EXPECT_EQ(hashes(), head);
+
+  // Retention is the one tier move that removes data: once both days fall
+  // behind the horizon, the same query finds no samples.
+  store.advance_to(6 * kDayMs);
+  EXPECT_EQ(store.stats().segments, 0u);
+  query.kind = QueryKind::kRangeCount;
+  query.param = 0.0;
+  EXPECT_EQ(service.query(query).status, QueryStatus::kNotFound);
+}
+
+/// What QueryService must answer, built without it: answer() for snapshot
+/// kinds, and a response assembled from store.range() / store.drift() for
+/// range kinds (every key queried has samples, so range status is kOk).
+QueryResponse reference_answer(const Query& query, const Snapshot& snapshot,
+                               const tsdb::TimeSeriesStore& store) {
+  if (!is_range_kind(query.kind)) return answer(query, snapshot);
+  QueryResponse response;
+  response.status = QueryStatus::kOk;
+  response.epoch = snapshot.epoch();
+  const std::string key = entry_key(query.location, query.game);
+  if (query.kind == QueryKind::kRangeDrift) {
+    response.value = store.drift(key, query.t1_ms, query.param);
+    return response;
+  }
+  tsdb::RangeQuery range;
+  range.key = key;
+  range.t0_ms = query.t0_ms;
+  range.t1_ms = query.t1_ms;
+  range.window_ms = query.window_ms;
+  range.pct = query.param;
+  range.agg = query.kind == QueryKind::kRangeCount  ? tsdb::RangeAgg::kCount
+              : query.kind == QueryKind::kRangeMean ? tsdb::RangeAgg::kMean
+                                                    : tsdb::RangeAgg::kPercentile;
+  response.series = store.range(range);
+  response.value = response.series.back().value;
+  return response;
+}
+
+TEST(QueryServiceTest, EveryKindMatchesReferenceAcrossPublishAndAppend) {
+  constexpr std::int64_t kDayMs = 86'400'000;
+  tsdb::TimeSeriesStore store{tsdb::TsdbConfig{}};
+  const auto entries = three_entries();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    for (int hour = 0; hour < 48; ++hour) {
+      store.append(entries[i].key, hour * 3'600'000,
+                   entries[i].sorted_values[hour % 5]);
+    }
+  }
+  ServeConfig config;
+  config.tsdb = &store;
+  QueryService service(config);
+
+  std::vector<Query> queries;
+  for (const auto& entry : entries) {
+    Query query;
+    query.location = entry.location;
+    query.game = entry.game;
+    query.t1_ms = 3 * kDayMs;
+    for (const QueryKind kind :
+         {QueryKind::kPercentile, QueryKind::kMean, QueryKind::kCount,
+          QueryKind::kEcdf, QueryKind::kTopK, QueryKind::kRangeCount,
+          QueryKind::kRangeMean, QueryKind::kRangePercentile,
+          QueryKind::kRangeDrift}) {
+      query.kind = kind;
+      query.param = kind == QueryKind::kEcdf ? 60.0 : 90.0;
+      queries.push_back(query);
+    }
+  }
+  // Served twice per stage, so the second pass answers range kinds from the
+  // shard cache; returns the stage's response hashes.
+  const auto check = [&](const std::string& stage) {
+    std::vector<std::uint64_t> hashes;
+    const SnapshotPtr snapshot = service.snapshot();
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const QueryResponse served = service.query(queries[i]);
+        const QueryResponse expected =
+            reference_answer(queries[i], *snapshot, store);
+        EXPECT_EQ(served.status, QueryStatus::kOk) << stage << " #" << i;
+        EXPECT_EQ(hash_response(i, served), hash_response(i, expected))
+            << stage << " #" << i;
+        EXPECT_EQ(served.epoch, expected.epoch) << stage << " #" << i;
+        hashes.push_back(hash_response(i, served));
+      }
+    }
+    return hashes;
+  };
+
+  service.publish(three_entries());
+  const auto first = check("epoch 1");
+  // A publish with different values: point answers move, range answers
+  // keep their series and carry the new epoch.
+  service.publish({make_entry("DE", "lol", {31, 33, 35, 37, 39}),
+                   make_entry("FR", "lol", {40, 45, 50, 55, 60}),
+                   make_entry("BR", "lol", {90, 95, 100, 105, 200})});
+  const auto second = check("epoch 2");
+  EXPECT_NE(first, second);
+  EXPECT_EQ(service.epoch(), 2u);
+  // A tsdb append lands in the next range answer.
+  store.append(entries[0].key, 60 * 3'600'000, 500.0);
+  EXPECT_NE(second, check("after append"));
+}
+
 }  // namespace tero::serve
