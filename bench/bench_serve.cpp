@@ -1,7 +1,9 @@
 // Serving-layer benchmark (DESIGN.md §9): throughput scaling of the sharded
 // QueryService with shard/thread count and the admission-control overload
 // story. Writes BENCH_serve.json; scripts/ci.sh bench-smoke parse-checks it
-// with bench_json_check and requires one checksum on every closed_loop row.
+// with bench_json_check, requires one checksum on every closed_loop row, and
+// requires 4 threads to be no slower than 1 at every shard count
+// (scaling_4v1, written when the machine has at least 4 hardware threads).
 //
 //   bench_serve [--tiny]
 //
@@ -120,6 +122,28 @@ int main(int argc, char** argv) {
   bench::note("all checksums must match: responses are pure functions of "
               "(query, snapshot), so shard/thread layout cannot change "
               "results");
+
+  // 4-thread over 1-thread closed-loop throughput, one ratio per shard count.
+  struct Scaling {
+    std::size_t shards;
+    double ratio;
+  };
+  std::vector<Scaling> scaling;
+  for (const auto& four : rows) {
+    if (four.threads != 4) continue;
+    for (const auto& one : rows) {
+      if (one.shards == four.shards && one.threads == 1 &&
+          one.report.achieved_qps > 0.0) {
+        scaling.push_back({four.shards, four.report.achieved_qps /
+                                            one.report.achieved_qps});
+      }
+    }
+  }
+  for (const auto& row : scaling) {
+    bench::note("shards " + std::to_string(row.shards) +
+                ": 4 threads / 1 thread = " + util::fmt_double(row.ratio, 2) +
+                "x");
+  }
 
   // ---- service latency under metrics (one mid-size config) ----------------
   bench::header("serve: service latency (metrics attached)");
@@ -250,6 +274,12 @@ int main(int argc, char** argv) {
         << (i + 1 < rows.size() ? ",\n" : "\n");
   }
   out << "  ],\n";
+  out << "  \"scaling_4v1\": [";
+  for (std::size_t i = 0; i < scaling.size(); ++i) {
+    out << (i > 0 ? ", " : "") << "{\"shards\": " << scaling[i].shards
+        << ", \"ratio\": " << scaling[i].ratio << "}";
+  }
+  out << "],\n";
   out << "  \"latency\": {\"p50_ms\": " << latency_row.report.p50_ms
       << ", \"p95_ms\": " << latency_row.report.p95_ms
       << ", \"p99_ms\": " << latency_row.report.p99_ms << "},\n";

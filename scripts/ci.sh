@@ -7,7 +7,9 @@
 #   bench-smoke  Run bench binaries at tiny N, then parse-check the
 #                BENCH_*.json artifacts with bench_json_check (obs::json)
 #                and require every BENCH_stream.json run to match batch
-#                and its slow-sink run to stall within its batch bound.
+#                and its slow-sink run to stall within its batch bound,
+#                and BENCH_serve.json's 4-thread closed loop to be no
+#                slower than its 1-thread one at any shard count.
 #                Catches bench bitrot and malformed reporter output without
 #                paying for a full benchmark run.
 #   chaos-smoke  Fault-injection gate: the chaos-labeled test suite
@@ -199,6 +201,38 @@ run_bench_smoke() {
            if (bad) exit 1
            print "bench-smoke: serve checksum " first " in all " rows \
                  " closed_loop rows"
+         }' BENCH_serve.json
+    # Readers share no written cache line: 4 closed-loop threads must be no
+    # slower than 1 at every shard count. bench_serve writes the ratios only
+    # when the machine has 4 hardware threads.
+    awk '/"scaling_4v1"/ {
+           seen = 1
+           n = split($0, parts, "\"ratio\": ")
+           for (i = 2; i <= n; i++) {
+             split(parts[i], v, "}")
+             split(parts[i - 1], s, "\"shards\": ")
+             split(s[2], shards, ",")
+             if (v[1] + 0 < 1.0) {
+               print "bench-smoke: serve 4-thread/1-thread throughput " \
+                     v[1] " < 1.0 at " shards[1] " shard(s)"
+               bad = 1
+             }
+             rows++
+           }
+         }
+         END {
+           if (!seen) {
+             print "bench-smoke: BENCH_serve.json has no scaling_4v1 key"
+             exit 1
+           }
+           if (bad) exit 1
+           if (rows == 0) {
+             print "bench-smoke: serve scaling not checked (fewer than 4" \
+                   " hardware threads)"
+           } else {
+             print "bench-smoke: serve 4-thread/1-thread >= 1.0 at all " \
+                   rows " shard counts"
+           }
          }' BENCH_serve.json
   )
 }

@@ -5,7 +5,8 @@
 namespace tero::serve {
 
 AdmissionController::AdmissionController(double rate_qps, double burst)
-    : rate_qps_(rate_qps),
+    : enabled_(rate_qps > 0.0),
+      rate_qps_(rate_qps),
       burst_(std::max(burst, rate_qps > 0.0 ? 1.0 : 0.0)),
       tokens_(burst_) {}
 
@@ -17,8 +18,9 @@ void AdmissionController::refill_locked(double now_s) {
 }
 
 bool AdmissionController::try_admit(double now_s, double cost) {
+  if (!enabled()) return true;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (rate_qps_ <= 0.0) return true;
+  if (rate_qps_ <= 0.0) return true;  // disabled since the flag was read
   refill_locked(now_s);
   if (tokens_ >= cost) {
     tokens_ -= cost;
@@ -46,6 +48,7 @@ void AdmissionController::set_rate(double now_s, double rate_qps,
     last_refill_ = now_s;
   }
   rate_qps_ = rate_qps;
+  enabled_.store(rate_qps_ > 0.0, std::memory_order_release);
   burst_ = std::max(burst > 0.0 ? burst : burst_,
                     rate_qps > 0.0 ? 1.0 : 0.0);
   if (!was_enabled && rate_qps_ > 0.0) {

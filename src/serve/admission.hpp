@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 
@@ -16,7 +17,10 @@ namespace tero::serve {
 /// loadgen.cpp).
 ///
 /// rate_qps <= 0 disables admission control entirely (every request is
-/// admitted and nothing is counted).
+/// admitted and nothing is counted). A disabled controller answers from one
+/// atomic flag without taking the mutex, so concurrent readers of a service
+/// without admission share no written cache line here; the enabled path
+/// stays serial under the mutex.
 class AdmissionController {
  public:
   AdmissionController(double rate_qps, double burst);
@@ -35,9 +39,8 @@ class AdmissionController {
   /// (rate <= 0) stops all accounting, as at construction.
   void set_rate(double now_s, double rate_qps, double burst = 0.0);
 
-  [[nodiscard]] bool enabled() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return rate_qps_ > 0.0;
+  [[nodiscard]] bool enabled() const noexcept {
+    return enabled_.load(std::memory_order_acquire);
   }
   [[nodiscard]] double rate_qps() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -55,6 +58,9 @@ class AdmissionController {
   /// Callers hold mutex_.
   void refill_locked(double now_s);
 
+  /// rate_qps_ > 0, mirrored for the lock-free disabled check; written
+  /// under mutex_ (constructor and set_rate).
+  std::atomic<bool> enabled_;
   mutable std::mutex mutex_;
   // All guarded by mutex_ (set_rate retunes them mid-run).
   double rate_qps_;

@@ -4,6 +4,40 @@
 
 namespace tero::serve {
 
+namespace {
+
+/// Publisher ids start at 1, so an empty slot (publisher 0) never matches.
+std::atomic<std::uint64_t> next_publisher_id{1};
+
+struct ReaderSlot {
+  std::uint64_t publisher = 0;
+  std::uint64_t generation = 0;
+  SnapshotPtr snapshot;
+};
+
+thread_local ReaderSlot reader_slot;
+
+}  // namespace
+
+EpochPublisher::EpochPublisher()
+    : id_(next_publisher_id.fetch_add(1, std::memory_order_relaxed)) {}
+
+const Snapshot* EpochPublisher::acquire() const {
+  ReaderSlot& slot = reader_slot;
+  if (slot.publisher != id_ ||
+      slot.generation != generation_.load(std::memory_order_acquire)) {
+    // Read the pointer and its generation together, so the slot never pairs
+    // one install's generation with another install's snapshot. The slot's
+    // old snapshot is released after the lock, in case it was the last ref.
+    SnapshotPtr released;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    released = std::exchange(slot.snapshot, current_);
+    slot.generation = generation_.load(std::memory_order_relaxed);
+    slot.publisher = id_;
+  }
+  return slot.snapshot.get();
+}
+
 std::uint64_t EpochPublisher::publish(std::vector<SnapshotEntry> entries) {
   const std::uint64_t epoch =
       next_epoch_.fetch_add(1, std::memory_order_relaxed);
@@ -19,6 +53,7 @@ void EpochPublisher::publish(SnapshotPtr snapshot) {
     SnapshotPtr previous;
     const std::lock_guard<std::mutex> lock(mutex_);
     previous = std::exchange(current_, std::move(snapshot));
+    generation_.fetch_add(1, std::memory_order_release);
   }
   published_epoch_.store(epoch, std::memory_order_release);
   // Keep next_epoch_ ahead of any externally assigned epoch (restored

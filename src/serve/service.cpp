@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <optional>
+#include <string_view>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -19,6 +19,27 @@ namespace {
 
 /// Virtual nodes per shard on the routing ring.
 constexpr int kRingVirtualNodes = 64;
+
+std::uint64_t fold(std::uint64_t hash, std::string_view piece) {
+  return util::fnv1a64({piece.data(), piece.size()}, hash);
+}
+
+/// ConsistentHashRing::key_hash of the query's shard key, hashed in place
+/// from its pieces: "game|country|region|city" (entry_key) for entry kinds,
+/// "topk|game" for top-k, so all queries about one entry share a shard.
+std::uint64_t route_hash(const Query& query) {
+  // The hash of the empty key: the ring's salt, already folded in.
+  static const std::uint64_t basis = store::ConsistentHashRing::key_hash({});
+  if (query.kind == QueryKind::kTopK) {
+    return fold(fold(basis, "topk|"), query.game);
+  }
+  std::uint64_t hash = fold(basis, query.game);
+  for (const std::string_view piece :
+       {query.location.country, query.location.region, query.location.city}) {
+    hash = fold(fold(hash, "|"), piece);
+  }
+  return hash;
+}
 
 std::uint64_t hash_double(double value) {
   return std::bit_cast<std::uint64_t>(value);
@@ -101,15 +122,22 @@ std::uint64_t hash_response(std::uint64_t index,
 QueryService::QueryService(ServeConfig config)
     : config_(config),
       admission_(config.admission_rate_qps, config.admission_burst),
-      ring_(kRingVirtualNodes),
       start_(std::chrono::steady_clock::now()) {
   const std::size_t shard_count = std::max<std::size_t>(1, config_.shards);
+  store::ConsistentHashRing ring(kRingVirtualNodes);
   shard_names_.reserve(shard_count);
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     shard_names_.push_back("shard-" + std::to_string(i));
-    ring_.add_node(shard_names_.back());
+    ring.add_node(shard_names_.back());
     shards_.push_back(std::make_unique<Shard>(config_.cache_capacity));
+  }
+  route_.reserve(ring.points().size());
+  for (const auto& [hash, node] : ring.points()) {
+    const auto owner =
+        std::find(shard_names_.begin(), shard_names_.end(), node);
+    route_.push_back(
+        {hash, static_cast<std::size_t>(owner - shard_names_.begin())});
   }
   if (config_.injector != nullptr) {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -181,15 +209,8 @@ std::uint64_t QueryService::install(
   return epoch;
 }
 
-std::string QueryService::shard_key(const Query& query) {
-  // All queries about one {location, game} entry land on one shard, so its
-  // range answers stay in one LRU; top-k is keyed by game alone.
-  if (query.kind == QueryKind::kTopK) return "topk|" + query.game;
-  return entry_key(query.location, query.game);
-}
-
 std::string QueryService::cache_key(const Query& query,
-                                    const std::string& shard_key) const {
+                                    const std::string& entry) const {
   std::string key;
   switch (query.kind) {
     case QueryKind::kRangeCount: key = "rcount:"; break;
@@ -213,19 +234,18 @@ std::string QueryService::cache_key(const Query& query,
   key += ":v";
   key += std::to_string(config_.tsdb != nullptr ? config_.tsdb->version() : 0);
   key += ':';
-  key += shard_key;
+  key += entry;
   return key;
 }
 
-std::size_t QueryService::shard_index(const std::string& shard_key) const {
-  const std::string node = ring_.node_for(shard_key);
-  // Node names are "shard-<i>"; the ring never returns anything else here.
-  return static_cast<std::size_t>(
-      std::strtoul(node.c_str() + 6, nullptr, 10));
-}
-
 std::size_t QueryService::shard_for(const Query& query) const {
-  return shard_index(shard_key(query));
+  // The ring's lower_bound over the flat table, wrapping to the first point.
+  const std::uint64_t hash = route_hash(query);
+  auto it = std::lower_bound(
+      route_.begin(), route_.end(), hash,
+      [](const RoutePoint& point, std::uint64_t h) { return point.hash < h; });
+  if (it == route_.end()) it = route_.begin();
+  return it->shard;
 }
 
 double QueryService::wall_now_s() const {
@@ -283,14 +303,14 @@ QueryResponse answer(const Query& query, const Snapshot& snapshot) {
   return response;
 }
 
-QueryResponse QueryService::answer_range(const Query& query) const {
+QueryResponse QueryService::answer_range(const Query& query,
+                                         const std::string& key) const {
   QueryResponse response;
   response.epoch = publisher_.epoch();
   if (config_.tsdb == nullptr) {
     response.status = QueryStatus::kUnavailable;
     return response;
   }
-  const std::string key = entry_key(query.location, query.game);
   try {
     if (query.kind == QueryKind::kRangeDrift) {
       response.value = config_.tsdb->drift(key, query.t1_ms, query.param);
@@ -327,9 +347,9 @@ QueryResponse QueryService::answer_range(const Query& query) const {
 }
 
 QueryResponse QueryService::cached_range(const Query& query,
-                                         const std::string& shard_key,
+                                         const std::string& entry,
                                          Shard& shard) {
-  const std::string key = cache_key(query, shard_key);
+  const std::string key = cache_key(query, entry);
   std::optional<QueryResponse> cached;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -344,7 +364,7 @@ QueryResponse QueryService::cached_range(const Query& query,
     if (shard.hits_counter != nullptr) shard.hits_counter->add();
     return std::move(*cached);
   }
-  QueryResponse response = answer_range(query);
+  QueryResponse response = answer_range(query, entry);
   if (misses_counter_ != nullptr) misses_counter_->add();
   if (shard.misses_counter != nullptr) shard.misses_counter->add();
   // A failed read is transient; only answers pinned by the key are kept.
@@ -355,6 +375,8 @@ QueryResponse QueryService::cached_range(const Query& query,
 }
 
 bool QueryService::try_admit(double now_s) {
+  // Admission off: no wall clock read, no mutex.
+  if (!admission_.enabled()) return true;
   const bool admitted =
       admission_.try_admit(now_s >= 0.0 ? now_s : wall_now_s());
   if (!admitted) denied_.add(DenyReason::kShed);
@@ -452,7 +474,8 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
   }
   const Query& effective = action.query;
 
-  const SnapshotPtr snapshot = publisher_.current();
+  // Valid until this thread's next acquire(): the slot holds the reference.
+  const Snapshot* snapshot = publisher_.acquire();
   if (snapshot == nullptr && !is_range_kind(effective.kind)) {
     QueryResponse response;
     response.status = QueryStatus::kNoSnapshot;
@@ -473,8 +496,7 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
     if (has_previous) return degraded(effective, epoch);
   }
 
-  const std::string key = shard_key(effective);
-  Shard& shard = *shards_[shard_index(key)];
+  Shard& shard = *shards_[shard_for(effective)];
 
   if (shard.fault_point != nullptr) {
     const double now = now_s >= 0.0 ? now_s : wall_now_s();
@@ -500,9 +522,11 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
 
   // Snapshot kinds read immutable, pre-sorted values in O(1) or O(log n):
   // no shard lock, no cache key.
-  QueryResponse response = is_range_kind(effective.kind)
-                               ? cached_range(effective, key, shard)
-                               : answer(effective, *snapshot);
+  QueryResponse response =
+      is_range_kind(effective.kind)
+          ? cached_range(effective,
+                         entry_key(effective.location, effective.game), shard)
+          : answer(effective, *snapshot);
   if (response.status == QueryStatus::kNotFound &&
       not_found_counter_ != nullptr) {
     not_found_counter_->add();

@@ -187,10 +187,18 @@ struct ServeConfig {
 
 /// Sharded in-process query service over published snapshots.
 ///
-/// Read path: admission -> atomic snapshot load -> shard (consistent hash
-/// of the entry key) -> answer. Point and top-k kinds are answered straight
-/// from the snapshot's pre-sorted values without touching shard state; only
-/// range kinds go through the shard's LRU, keyed by the tsdb version.
+/// Read path: admission -> snapshot acquire -> shard -> answer.
+///  - Admission off (rate <= 0): one atomic flag read, no clock, no mutex.
+///  - Acquire: EpochPublisher::acquire(), the calling thread's slot; one
+///    acquire load per query, the publisher mutex only after an install.
+///  - Shard: the consistent-hash ring flattened at construction into a
+///    sorted (hash, shard index) table; the key's ring hash is folded in
+///    place from its pieces, so routing builds no string.
+///  - Answer: point and top-k kinds read the snapshot's pre-sorted values
+///    without touching shard state; only range kinds go through the shard's
+///    LRU, keyed by the tsdb version.
+/// With admission and metrics off, a steady-state point query writes no
+/// cache line that another reader or a publisher writes.
 /// Publish path: build entries off to the side and swap them in atomically;
 /// no shard state is touched. Readers never block on a publish: a query
 /// that raced the swap simply finishes against the epoch it loaded.
@@ -239,7 +247,9 @@ class QueryService {
   void set_brownout(BrownoutLevel level);
   [[nodiscard]] BrownoutLevel brownout() const noexcept;
 
-  /// Shard index that owns `query`'s key (stable across calls).
+  /// Shard index that owns `query`'s key (stable across calls): the shard
+  /// ConsistentHashRing::node_for names for "game|country|region|city"
+  /// (or "topk|game") on a ring of "shard-<i>" nodes.
   [[nodiscard]] std::size_t shard_for(const Query& query) const;
 
   /// The shard's circuit-breaker state (kClosed when fault injection is
@@ -293,13 +303,15 @@ class QueryService {
   /// export the publish metrics.
   std::uint64_t install(const std::function<std::uint64_t()>& swap);
 
-  /// Range kinds: delegate to config_.tsdb (kUnavailable when absent or
-  /// when the tsdb.read fault point fires).
-  [[nodiscard]] QueryResponse answer_range(const Query& query) const;
+  /// Range kinds: delegate to config_.tsdb for series `entry` (the
+  /// query's entry_key; kUnavailable when absent or when the tsdb.read
+  /// fault point fires).
+  [[nodiscard]] QueryResponse answer_range(const Query& query,
+                                           const std::string& entry) const;
   /// Range kinds through `shard`'s LRU. A hit carries the current epoch,
   /// exactly like a fresh answer.
   [[nodiscard]] QueryResponse cached_range(const Query& query,
-                                           const std::string& shard_key,
+                                           const std::string& entry,
                                            Shard& shard);
   /// Degraded path: answer from the last good snapshot with a STALE{age}
   /// marker, or kUnavailable when there is none. Never cached. Range kinds
@@ -308,9 +320,7 @@ class QueryService {
                                        std::uint64_t current_epoch);
   /// Range-kind LRU key; folds the tsdb version counter.
   [[nodiscard]] std::string cache_key(const Query& query,
-                                      const std::string& shard_key) const;
-  [[nodiscard]] static std::string shard_key(const Query& query);
-  [[nodiscard]] std::size_t shard_index(const std::string& shard_key) const;
+                                      const std::string& entry) const;
   [[nodiscard]] double wall_now_s() const;
 
   ServeConfig config_;
@@ -324,7 +334,13 @@ class QueryService {
   mutable std::mutex previous_mutex_;
   SnapshotPtr previous_;
   AdmissionController admission_;
-  store::ConsistentHashRing ring_;
+  /// One virtual node of the routing ring: the ring position and the index
+  /// of the shard that owns it. route_ is sorted by hash.
+  struct RoutePoint {
+    std::uint64_t hash;
+    std::size_t shard;
+  };
+  std::vector<RoutePoint> route_;
   std::vector<std::string> shard_names_;  ///< shard_names_[i] == "shard-i"
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> publishes_{0};

@@ -16,9 +16,8 @@ std::uint64_t hash_with_salt(std::string_view text, std::uint64_t salt) {
     salt_bytes[static_cast<std::size_t>(i)] =
         static_cast<char>((salt >> (8 * i)) & 0xff);
   }
-  std::string salted(salt_bytes.begin(), salt_bytes.end());
-  salted.append(text);
-  return util::fnv1a64(std::span<const char>{salted.data(), salted.size()});
+  return util::fnv1a64(std::span<const char>{text.data(), text.size()},
+                       util::fnv1a64(salt_bytes));
 }
 
 }  // namespace

@@ -80,7 +80,17 @@ class ConsistentHashRing {
     return nodes_;
   }
 
+  /// Virtual-node positions and their owners, sorted by position: node_for
+  /// answers with the first position >= key_hash(key), wrapping to the
+  /// first. serve::QueryService flattens this once into an integer table.
+  [[nodiscard]] const std::map<std::uint64_t, std::string>& points()
+      const noexcept {
+    return ring_;
+  }
+
   /// The position a key occupies on the ring (what node_for lower-bounds).
+  /// Plain FNV-1a over a fixed 8-byte salt and the key, so a key built from
+  /// pieces hashes in place: util::fnv1a64(b, key_hash(a)) == key_hash(a+b).
   [[nodiscard]] static std::uint64_t key_hash(std::string_view key);
 
   /// Every arc of the hash space whose owner differs between `before` and

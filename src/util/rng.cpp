@@ -148,8 +148,8 @@ std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
   return all;
 }
 
-std::uint64_t fnv1a64(std::span<const char> bytes) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a64(std::span<const char> bytes,
+                      std::uint64_t hash) noexcept {
   for (char c : bytes) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001b3ULL;

@@ -96,8 +96,12 @@ class Rng {
 };
 
 /// 64-bit FNV-1a hash; used for consistent hashing of streamer IDs (§7 of the
-/// paper: streamer IDs are pseudonymized before storage).
-[[nodiscard]] std::uint64_t fnv1a64(std::span<const char> bytes) noexcept;
+/// paper: streamer IDs are pseudonymized before storage). `hash` continues a
+/// running hash, so fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b): a key made of
+/// several pieces hashes without being concatenated first.
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+[[nodiscard]] std::uint64_t fnv1a64(std::span<const char> bytes,
+                                    std::uint64_t hash = kFnv1a64Basis) noexcept;
 
 /// Mix two 64-bit values into one well-distributed seed (SplitMix64-based).
 /// Basis of the seed-splitting scheme behind Rng::indexed.

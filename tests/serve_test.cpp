@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "serve/snapshot.hpp"
 #include "serve/snapshot_io.hpp"
 #include "stats/descriptive.hpp"
+#include "store/consistent_hash.hpp"
 #include "synth/sessions.hpp"
 #include "tero/pipeline.hpp"
 #include "util/thread_pool.hpp"
@@ -81,7 +84,10 @@ TEST(Snapshot, TopKWorstRanksByP95) {
   EXPECT_TRUE(snapshot.worst_locations("unknown-game", 3).empty());
 }
 
-TEST(Snapshot, BuildsFromPipelineDataset) {
+/// A small single-threaded pipeline run; `on_dataset` (may be empty) sees
+/// the finished dataset.
+core::Dataset small_pipeline_dataset(
+    std::function<void(const core::Dataset&)> on_dataset = {}) {
   synth::WorldConfig world_config;
   world_config.seed = 5;
   world_config.num_streamers = 40;
@@ -95,14 +101,16 @@ TEST(Snapshot, BuildsFromPipelineDataset) {
   core::TeroConfig config;
   config.p_latency_visible = 1.0;
   config.threads = 1;
+  config.on_dataset = std::move(on_dataset);
+  core::Pipeline pipeline(config);
+  return pipeline.run(world, streams);
+}
 
+TEST(Snapshot, BuildsFromPipelineDataset) {
   // The publish hook fires at the end of run() with the finished dataset.
   ServeConfig serve_config;
   QueryService service(serve_config);
-  config.on_dataset = publish_hook(service);
-
-  core::Pipeline pipeline(config);
-  const core::Dataset dataset = pipeline.run(world, streams);
+  const core::Dataset dataset = small_pipeline_dataset(publish_hook(service));
 
   const SnapshotPtr snapshot = service.snapshot();
   ASSERT_NE(snapshot, nullptr);
@@ -344,6 +352,195 @@ TEST(QueryServiceTest, ShardingIsStableAndCovering) {
   EXPECT_LT(service.shard_for(query), service.shard_count());
 }
 
+TEST(QueryServiceTest, IntegerRouteMatchesRing) {
+  // Every key of a pipeline snapshot, each game's top-k key, and edge keys.
+  const auto entries = entries_from(small_pipeline_dataset());
+  ASSERT_FALSE(entries.empty());
+
+  std::vector<Query> queries;
+  std::vector<std::string> games;
+  const QueryKind kinds[] = {QueryKind::kPercentile, QueryKind::kMean,
+                             QueryKind::kRangeMean};
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    Query query;
+    query.kind = kinds[i % 3];
+    query.location = entries[i].location;
+    query.game = entries[i].game;
+    queries.push_back(query);
+    if (std::find(games.begin(), games.end(), query.game) == games.end()) {
+      games.push_back(query.game);
+    }
+  }
+  games.push_back("");
+  for (const std::string& game : games) {
+    Query query;
+    query.kind = QueryKind::kTopK;
+    query.game = game;
+    queries.push_back(query);
+  }
+  const geo::Location edges[] = {
+      {"", "", ""},
+      {"", "", "US"},
+      {"", "California", "US"},
+      {"Los Angeles", "", "US"},
+      {"S\xc3\xa3o Paulo", "S\xc3\xa3o Paulo", "BR"},
+      {"\xff\x80|", "|", "\xe6\x9d\xb1\xe4\xba\xac"},
+  };
+  for (const geo::Location& location : edges) {
+    for (const char* game : {"", "lol", "g\xc3\xa9"}) {
+      Query query;
+      query.location = location;
+      query.game = game;
+      queries.push_back(query);
+    }
+  }
+
+  for (const std::size_t shards : {1, 2, 4, 8}) {
+    ServeConfig config;
+    config.shards = shards;
+    const QueryService service(config);
+    // The routing the service had before it flattened its ring: build the
+    // key string, ask the ring, name the shard.
+    store::ConsistentHashRing ring(64);
+    for (std::size_t i = 0; i < shards; ++i) {
+      ring.add_node("shard-" + std::to_string(i));
+    }
+    for (const Query& query : queries) {
+      const std::string key = query.kind == QueryKind::kTopK
+                                  ? "topk|" + query.game
+                                  : entry_key(query.location, query.game);
+      EXPECT_EQ("shard-" + std::to_string(service.shard_for(query)),
+                ring.node_for(key))
+          << shards << " shards, key " << key;
+    }
+  }
+}
+
+TEST(QueryServiceTest, ReadersNeverSeeNullOrMixedEpochsWhilePublishing) {
+  // Epoch e answers kMean = e + 0.5 for every key, so a reader can check
+  // that the value came from the epoch the response names.
+  QueryService service(ServeConfig{});
+  const auto entries_for = [](std::uint64_t e) {
+    return std::vector<SnapshotEntry>{
+        make_entry("DE", "lol", {double(e), double(e) + 1.0})};
+  };
+  Query query;
+  query.kind = QueryKind::kMean;
+  query.location.country = "DE";
+  query.game = "lol";
+
+  constexpr std::uint64_t kEpochs = 200;
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::atomic<std::uint64_t> answered{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      std::uint64_t last_seen = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const bool published = service.epoch() > 0;
+        const QueryResponse response = service.query(query);
+        const bool ok =
+            response.status == QueryStatus::kNoSnapshot
+                ? !published
+                : response.status == QueryStatus::kOk &&
+                      response.value == double(response.epoch) + 0.5 &&
+                      response.epoch >= last_seen;  // monotone per reader
+        if (!ok) {
+          ADD_FAILURE() << "status " << static_cast<int>(response.status)
+                        << " epoch " << response.epoch << " value "
+                        << response.value << " after epoch " << last_seen;
+          failed.store(true);
+          return;
+        }
+        if (response.status == QueryStatus::kNoSnapshot) continue;
+        last_seen = response.epoch;
+        answered.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::uint64_t e = 1; e <= kEpochs && !failed.load(); ++e) {
+    // Wait for a few answers between installs, so reads overlap publishes.
+    const std::uint64_t before = answered.load(std::memory_order_relaxed);
+    EXPECT_EQ(service.publish(entries_for(e)), e);
+    while (answered.load(std::memory_order_relaxed) < before + 3 &&
+           !failed.load()) {
+      std::this_thread::yield();
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+  const QueryResponse last = service.query(query);
+  EXPECT_EQ(last.epoch, kEpochs);
+  EXPECT_EQ(last.value, double(kEpochs) + 0.5);
+}
+
+TEST(QueryServiceTest, QueryAfterOwnPublishSeesIt) {
+  QueryService service(ServeConfig{});
+  Query query;
+  query.kind = QueryKind::kMean;
+  query.location.country = "DE";
+  query.game = "lol";
+  const auto publish_mean = [&](std::uint64_t epoch, double mean) {
+    service.publish(std::make_shared<const Snapshot>(
+        epoch, std::vector<SnapshotEntry>{
+                   make_entry("DE", "lol", {mean - 1.0, mean + 1.0})}));
+  };
+  EXPECT_EQ(service.query(query).status, QueryStatus::kNoSnapshot);
+  publish_mean(5, 10.0);
+  EXPECT_EQ(service.query(query).value, 10.0);
+  // Same epoch number, new snapshot: the slot must not mistake it for the
+  // one it holds.
+  publish_mean(5, 20.0);
+  QueryResponse response = service.query(query);
+  EXPECT_EQ(response.value, 20.0);
+  EXPECT_EQ(response.epoch, 5u);
+  // A restored snapshot below the current epoch.
+  publish_mean(2, 30.0);
+  response = service.query(query);
+  EXPECT_EQ(response.value, 30.0);
+  EXPECT_EQ(response.epoch, 2u);
+  // And a built one after it.
+  service.publish({make_entry("DE", "lol", {39.0, 41.0})});
+  EXPECT_EQ(service.query(query).value, 40.0);
+}
+
+TEST(QueryServiceTest, TwoServicesOnOneThreadKeepTheirSnapshots) {
+  QueryService first(ServeConfig{});
+  QueryService second(ServeConfig{});
+  first.publish({make_entry("DE", "lol", {1.0, 3.0})});
+  second.publish({make_entry("DE", "lol", {5.0, 7.0})});
+  Query query;
+  query.kind = QueryKind::kMean;
+  query.location.country = "DE";
+  query.game = "lol";
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(first.query(query).value, 2.0) << i;
+    EXPECT_EQ(second.query(query).value, 6.0) << i;
+    if (i == 5) second.publish({make_entry("DE", "lol", {5.0, 7.0})});
+  }
+}
+
+TEST(QueryServiceTest, RebuiltServiceNeverAnswersFromTheOldOne) {
+  Query query;
+  query.kind = QueryKind::kMean;
+  query.location.country = "DE";
+  query.game = "lol";
+  std::optional<QueryService> service;
+  service.emplace(ServeConfig{});
+  EXPECT_EQ(service->query(query).status, QueryStatus::kNoSnapshot);
+  for (int round = 1; round <= 5; ++round) {
+    // The optional's storage puts every round's service at the old one's
+    // address, with the same epoch and install count when it first answers.
+    service.emplace(ServeConfig{});
+    const double mean = 10.0 * round;
+    service->publish({make_entry("DE", "lol", {mean - 1.0, mean + 1.0})});
+    EXPECT_EQ(service->query(query).value, mean) << "round " << round;
+  }
+  service.emplace(ServeConfig{});
+  EXPECT_EQ(service->query(query).status, QueryStatus::kNoSnapshot);
+}
+
 TEST(QueryServiceTest, ShedsUnderOverloadAndRecovers) {
   obs::MetricsRegistry registry;
   ServeConfig config;
@@ -457,6 +654,62 @@ TEST(AdmissionControllerTest, RetuneKeepsCountersAndDisableReenable) {
   std::uint64_t ok = 0;
   while (admission.try_admit(100.0)) ++ok;
   EXPECT_EQ(ok, 4u);
+}
+
+TEST(AdmissionControllerTest, DisabledCountsNothingAndEnablesFull) {
+  for (const double rate : {0.0, -5.0}) {
+    AdmissionController admission(rate, 10.0);
+    for (int i = 0; i < 20; ++i) EXPECT_TRUE(admission.try_admit(i * 0.1));
+    EXPECT_EQ(admission.admitted(), 0u);
+    EXPECT_EQ(admission.shed(), 0u);
+    // Enabling a controller built disabled starts with a full bucket.
+    admission.set_rate(3.0, 10.0, 4.0);
+    EXPECT_TRUE(admission.enabled());
+    std::uint64_t ok = 0;
+    for (int i = 0; i < 10; ++i) ok += admission.try_admit(3.0) ? 1 : 0;
+    EXPECT_EQ(ok, 4u);
+    EXPECT_EQ(admission.admitted(), 4u);
+    EXPECT_EQ(admission.shed(), 6u);
+  }
+}
+
+TEST(QueryServiceTest, AdmissionToggleUnderConcurrentQueries) {
+  QueryService service(ServeConfig{});
+  service.publish(three_entries());
+  EXPECT_TRUE(service.try_admit());
+  EXPECT_TRUE(service.try_admit(1.0));
+  EXPECT_EQ(service.shed_count(), 0u);
+
+  Query query;
+  query.kind = QueryKind::kMean;
+  query.location.country = "DE";
+  query.game = "lol";
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const QueryStatus status = service.query(query).status;
+        ASSERT_TRUE(status == QueryStatus::kOk || status == QueryStatus::kShed);
+      }
+    });
+  }
+  for (int i = 0; i < 200; ++i) {
+    service.set_admission_rate(-1.0, i % 2 == 0 ? 1e6 : 0.0, 8.0);
+    std::this_thread::yield();
+  }
+  service.set_admission_rate(-1.0, 0.0);  // off again
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+
+  // Off: admits without counting. On again: a full bucket of `burst`.
+  const std::uint64_t shed_before = service.shed_count();
+  for (int i = 0; i < 20; ++i) EXPECT_TRUE(service.try_admit(1e9));
+  EXPECT_EQ(service.shed_count(), shed_before);
+  service.set_admission_rate(2e9, 1.0, 3.0);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(service.try_admit(2e9)) << i;
+  EXPECT_FALSE(service.try_admit(2e9));
+  EXPECT_EQ(service.shed_count(), shed_before + 1);
 }
 
 TEST(ZipfSamplerTest, DeterministicAndSkewed) {
